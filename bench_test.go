@@ -16,9 +16,7 @@ package introspect_test
 import (
 	"context"
 	"errors"
-	"runtime"
 	"testing"
-	"time"
 
 	"introspect/internal/analysis"
 	"introspect/internal/figures"
@@ -31,12 +29,11 @@ import (
 var cfg = figures.Config{}
 
 // reportRows attaches a figure's aggregate metrics to the benchmark
-// output. cderivs sums Derivations over completed rows only: it is
-// schedule-independent (unlike work), so a serial and a parallel run
-// of the same figure must report the same cderivs — the equal-results
-// gate scripts/bench.sh enforces between Fig5/Fig7 and their Par
-// variants. Timed-out rows are excluded because a budget cap lands on
-// a schedule-dependent prefix of the fixpoint.
+// output. cderivs sums Derivations over completed rows only: the size
+// of the fixpoints the figure reached, which a change to propagation
+// order or work accounting must leave alone. Timed-out rows are
+// excluded because a budget cap lands on a prefix of the fixpoint
+// that depends on the order facts were derived in.
 func reportRows(b *testing.B, rows []report.Row) {
 	b.Helper()
 	var work, cderivs int64
@@ -124,25 +121,11 @@ func BenchmarkFig5Traced(b *testing.B) {
 	b.ReportMetric(float64(tcfg.Tracer.Len())+float64(tcfg.Tracer.Dropped()), "events")
 }
 
-// BenchmarkFig5Par is BenchmarkFig5 with every solver pass sharded
-// across 4 workers. Paired with BenchmarkFig5 it is the parallel-solve
-// gate scripts/bench.sh enforces: timeouts and cderivs must match the
-// serial run exactly (the sharded solver reaches the same fixpoint),
-// and on a ≥4-core machine wall time must improve. The speedup and
-// the gomaxprocs/cpus metrics it reports make BENCH_<date>.json
-// records comparable across machines.
-func BenchmarkFig5Par(b *testing.B) { benchFigPar(b, "2objH") }
-
 // BenchmarkFig6 regenerates Figure 6 (2typeH variants).
 func BenchmarkFig6(b *testing.B) { benchFig(b, "2typeH") }
 
 // BenchmarkFig7 regenerates Figure 7 (2callH variants).
 func BenchmarkFig7(b *testing.B) { benchFig(b, "2callH") }
-
-// BenchmarkFig7Par is Figure 7 under 4-way sharded solves — the
-// primary speedup target: Fig7's serial runs are the longest of the
-// evaluation, so intra-solve parallelism shows up here first.
-func BenchmarkFig7Par(b *testing.B) { benchFigPar(b, "2callH") }
 
 // BenchmarkProvenance measures the solver cost of derivation-witness
 // recording (pta.Options.Provenance) on the largest suite benchmark:
@@ -257,70 +240,4 @@ func benchFig(b *testing.B, deep string) {
 		}
 	}
 	reportRows(b, rows)
-}
-
-// benchFigPar is benchFig with 4-way intra-solve sharding. Both the
-// measured parallel runs and the serial reference keep the fleet
-// sequential (Parallel: 1) so the comparison isolates intra-solve
-// parallelism: the default fleet already saturates cores by running
-// whole analyses concurrently, and letting both dimensions multiply
-// would measure scheduler contention, not the solver.
-//
-// The serial reference runs once with the timer stopped; speedup is
-// its wall time over the measured per-iteration time. The benchmark
-// itself fails if the sharded fixpoint diverges from the serial one
-// (timeouts or completed-run derivations), so the equal-results gate
-// holds even when scripts/bench.sh is bypassed. gomaxprocs and cpus
-// record the machine context a speedup claim is meaningless without —
-// below 4 usable cores the speedup metric is honest but unflattering,
-// and bench.sh only enforces the 2× floor when cpus allow it.
-func benchFigPar(b *testing.B, deep string) {
-	pcfg := cfg
-	pcfg.Workers = 4
-	pcfg.Parallel = 1
-	var rows []report.Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = figures.FigPerf(pcfg, deep)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	reportRows(b, rows)
-
-	scfg := cfg
-	scfg.Parallel = 1
-	start := time.Now()
-	srows, err := figures.FigPerf(scfg, deep)
-	if err != nil {
-		b.Fatal(err)
-	}
-	serial := time.Since(start)
-
-	var sderivs, pderivs int64
-	stimeouts, ptimeouts := 0, 0
-	for _, r := range srows {
-		if r.TimedOut {
-			stimeouts++
-		} else {
-			sderivs += r.Derivations
-		}
-	}
-	for _, r := range rows {
-		if r.TimedOut {
-			ptimeouts++
-		} else {
-			pderivs += r.Derivations
-		}
-	}
-	if stimeouts != ptimeouts || sderivs != pderivs {
-		b.Fatalf("sharded solve diverged from serial: timeouts %d vs %d, cderivs %d vs %d",
-			ptimeouts, stimeouts, pderivs, sderivs)
-	}
-
-	b.ReportMetric(serial.Seconds()/(b.Elapsed().Seconds()/float64(b.N)), "speedup")
-	b.ReportMetric(float64(pcfg.Workers), "workers")
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-	b.ReportMetric(float64(runtime.NumCPU()), "cpus")
 }

@@ -48,49 +48,13 @@ func TestFigCSGolden(t *testing.T) { testFigGolden(t, "8", "figcs.golden") }
 //	go test ./cmd/introbench -run FigTaintGolden -args -update
 func TestFigTaintGolden(t *testing.T) { testFigGolden(t, "9", "figtaint.golden") }
 
-// TestFig5ParGolden pins the sharded solver's figure output:
-// Figure 5 regenerated with -parallel-solve 4 against its own golden.
-// Everything except the schedule-dependent work column must match
-// fig5.golden — the parallel solver reaches the same fixpoint, the
-// same timeout pattern, the same precision counters.
-//
-// Refresh after an intentional change with:
-//
-//	go test ./cmd/introbench -run Fig5ParGolden -args -update
-func TestFig5ParGolden(t *testing.T) {
-	testFigGolden(t, "5", "fig5par.golden", "-parallel-solve", "4")
-}
-
-// TestFig5WorkersLockstep pins the Workers=1 contract end to end:
-// -parallel-solve 1 must route through the serial solver and reproduce
-// fig5.golden byte-for-byte — including the work column, which any
-// sharded schedule would perturb. Unlike the golden tests this never
-// rewrites its expectation: fig5.golden is owned by the serial path.
-func TestFig5WorkersLockstep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("regenerates a full figure; skipped with -short")
-	}
-	var buf bytes.Buffer
-	if err := run([]string{"-fig", "5", "-parallel-solve", "1"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	got := msColumn.ReplaceAll(buf.Bytes(), []byte("        -"))
-	want, err := os.ReadFile(filepath.Join("testdata", "fig5.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("-parallel-solve 1 diverges from the serial golden.\n--- got ---\n%s\n--- want ---\n%s", got, want)
-	}
-}
-
-func testFigGolden(t *testing.T, fig, file string, extra ...string) {
+func testFigGolden(t *testing.T, fig, file string) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("regenerates a full figure; skipped with -short")
 	}
 	var buf bytes.Buffer
-	if err := run(append([]string{"-fig", fig}, extra...), &buf); err != nil {
+	if err := run([]string{"-fig", fig}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	got := msColumn.ReplaceAll(buf.Bytes(), []byte("        -"))

@@ -7,7 +7,6 @@
 //	pta -bench jython -analysis 2objH [-intro A|B] [-budget N]
 //	pta -mj prog.mj -analysis 2objH
 //	pta -ir prog.ir -analysis 2callH-IntroB -json
-//	pta -bench jython -analysis 2objH -workers 4
 //
 // The -analysis spec resolves through the internal/analysis registry:
 // plain analyses ("insens", "2objH", "2typeH", "2callH", "1call", and
@@ -75,7 +74,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		"analysis spec: "+strings.Join(analysis.RegisteredSpecs(), ", ")+", or <spec>-IntroA/-IntroB")
 	intro := fs.String("intro", "", "introspective heuristic: A or B (shorthand for -analysis <spec>-IntroA/-IntroB)")
 	budget := fs.Int64("budget", 0, "work budget (0 = default, <0 = unlimited)")
-	workers := fs.Int("workers", 0, "shard goroutines inside each solver pass (0 or 1 = serial solver); points-to results are identical at any setting")
 	taintSources := fs.String("taint-sources", "", "comma-separated taint source methods; injects taint objects before solving (see cmd/ptalint)")
 	taintSinks := fs.String("taint-sinks", "", "comma-separated taint sink methods (required with -taint-sources)")
 	taintSans := fs.String("taint-sanitizers", "", "comma-separated taint sanitizer methods")
@@ -120,7 +118,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	req := analysis.Request{
 		Source: src,
-		Job:    analysis.Job{Spec: fullSpec, Workers: *workers},
+		Job:    analysis.Job{Spec: fullSpec},
 		Limits: analysis.Limits{Budget: *budget},
 	}
 	if *taintSources != "" || *taintSinks != "" || *taintSans != "" {

@@ -71,20 +71,10 @@
 // request solved), "hit" (served from the result cache), or "dedup"
 // (an identical concurrent request solved and the result was shared).
 //
-// Two notions of parallelism coexist and multiply. The daemon's
-// -workers flag sizes the solve pool: how many REQUESTS run at once
-// (admission control rejects beyond -workers + -queue). A request's
-// own "workers" knob (Job.Workers in the JSON body, or the workers
-// query parameter) shards the solver INSIDE its solve: a job admitted
-// to one pool slot may still run up to pta.MaxWorkers goroutines.
-// Admission control deliberately does not multiply the two — a pool
-// slot is a pool slot whatever its job's shard count — so operators
-// running parallel-solve traffic should size -workers so that
-// (-workers × typical job workers) stays near the machine's core
-// count, or accept oversubscription: results are identical either
-// way, only wall-clock latency degrades when shards contend. An
-// out-of-range or provenance-conflicting workers value is rejected
-// with a 400 before admission, like any other invalid job.
+// The -workers flag sizes the solve pool: how many requests solve at
+// once, each on one goroutine (admission control rejects beyond
+// -workers + -queue). Requests carry no parallelism setting of their
+// own.
 package main
 
 import (
@@ -113,7 +103,7 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", "127.0.0.1:8372", "listen address (use :0 for an ephemeral port)")
-	workers := flag.Int("workers", 0, "concurrent solves, i.e. the request pool (0 = number of CPUs); distinct from each job's intra-solve workers knob")
+	workers := flag.Int("workers", 0, "concurrent solves, i.e. the request pool (0 = number of CPUs)")
 	queue := flag.Int("queue", 16, "admitted requests that may wait beyond those in flight")
 	cache := flag.Int("cache", 256, "result cache entries")
 	cacheDir := flag.String("cache-dir", "", "if set, persist results to this directory (durable across restarts)")

@@ -264,14 +264,6 @@ func injectPrePassStage(first *pta.Result) stage {
 		if first.Prog != res.Prog {
 			return Stats{}, fmt.Errorf("analysis: stage %s: injected pre-pass result is for a different program", StagePrePass)
 		}
-		// The pre-pass's Work/Workers feed this request's Stats, so an
-		// injected result must come from the same solve mode: a serial
-		// pre-pass spliced into a parallel job (or vice versa) would
-		// report another schedule's operational counters as this run's.
-		if want := effectiveWorkers(p.req.Job.Workers); first.Workers != want {
-			return Stats{}, fmt.Errorf("analysis: stage %s: injected pre-pass result was solved with %d workers, this job uses %d",
-				StagePrePass, first.Workers, want)
-		}
 		res.First = first
 		return collectStats(first), nil
 	}}
@@ -314,9 +306,7 @@ func mainPassPlain(spec pta.Spec) stage {
 		strat := strategyFor(spec, res.Prog, tab)
 		r, st, err := solvePass(ctx, StageMainPass, p.req, res.Prog, strat, tab)
 		res.Main = r
-		if r != nil {
-			res.Analysis = r.Analysis
-		}
+		res.Analysis = r.Analysis
 		return st, err
 	}}
 }
@@ -363,19 +353,12 @@ func reportStage() stage {
 func solvePass(ctx context.Context, stageName string, req *Request, prog *ir.Program, strat pta.Strategy, tab *pta.Table) (*pta.Result, Stats, error) {
 	opts := req.Limits.opts()
 	opts.Provenance = req.Provenance
-	opts.Workers = req.Job.Workers
 	if obs := req.Observer; obs != nil {
 		opts.Progress = func(work int64) { obs.Progress(stageName, work) }
 		opts.Snapshot = func(sn pta.Snapshot) { obs.SolveSnapshot(stageName, sn) }
 		opts.SnapshotEvery = req.SnapshotEvery
 	}
 	r, err := pta.Solve(ctx, prog, strat, tab, opts)
-	if r == nil {
-		// Configuration rejected before the solve started (the Workers
-		// range is pre-validated by resolveJob, so in practice this is
-		// the parallel-workers × provenance conflict).
-		return nil, Stats{}, fmt.Errorf("analysis: stage %s: %w", stageName, err)
-	}
 	st := collectStats(r)
 	if err != nil {
 		if errors.Is(err, pta.ErrBudgetExceeded) {

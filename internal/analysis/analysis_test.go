@@ -162,6 +162,28 @@ func TestPrePassBudgetPropagates(t *testing.T) {
 	}
 }
 
+// TestInjectedPrePassReused pins Request.First: a completed
+// insensitive result for the same program becomes the pipeline's
+// pre-pass as is, instead of being solved again.
+func TestInjectedPrePassReused(t *testing.T) {
+	prog := randprog.Generate(7, randprog.Default())
+	first, err := pta.Analyze(context.Background(), prog, "insens", pta.Options{Budget: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := analysis.Run(context.Background(), analysis.Request{
+		Prog: prog, First: first,
+		Job:    analysis.Job{Spec: "2objH-IntroA"},
+		Limits: analysis.Limits{Budget: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.First != first {
+		t.Error("the injected pre-pass result was not reused")
+	}
+}
+
 // TestMainPassBudgetStillReports: a budget-exhausted MAIN pass is a
 // reportable outcome — the report stage still runs and the error is
 // returned alongside a fully-populated Result.

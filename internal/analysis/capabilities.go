@@ -6,14 +6,11 @@ import (
 
 // Capabilities flags what request knobs a registered spec supports —
 // what /v1/specs advertises so clients stop discovering
-// InvalidWorkersError/InvalidTaintError by probing for 400s. The flags
-// are computed by resolving probe Jobs through the registry itself, so
-// they cannot drift from what Validate actually accepts.
+// InvalidTaintError by probing for 400s. The flags are computed by
+// resolving probe Jobs through the registry itself, so they cannot
+// drift from what Validate actually accepts.
 type Capabilities struct {
-	// Workers: the spec accepts Job.Workers > 1 (sharded solver).
-	Workers bool `json:"workers"`
-	// Provenance: the spec can record derivation witnesses (serial
-	// solves only; the service rejects provenance with Workers > 1).
+	// Provenance: the spec can record derivation witnesses.
 	Provenance bool `json:"provenance"`
 	// Taint: the spec accepts a Job.Taint specification.
 	Taint bool `json:"taint"`
@@ -35,10 +32,8 @@ func SpecCapabilities(spec string) Capabilities {
 		return Capabilities{}
 	}
 	return Capabilities{
-		Workers: (Job{Spec: spec, Workers: 2}).Validate() == nil,
 		// Provenance is a pipeline-level recorder, available wherever
-		// the spec itself resolves; the workers interaction is
-		// per-request, not per-spec.
+		// the spec itself resolves.
 		Provenance:    true,
 		Taint:         (Job{Spec: spec, Taint: capabilityProbeTaint}).Validate() == nil,
 		Introspective: (Job{Spec: spec + "-IntroA"}).Validate() == nil,

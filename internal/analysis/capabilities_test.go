@@ -8,15 +8,15 @@ import (
 
 // TestSpecCapabilities checks the probed capability flags against what
 // the Job validator actually accepts: the two must agree because the
-// flags ARE validator probes. Every registered spec supports workers,
-// provenance, and taint; only specs with introspective variants are
+// flags ARE validator probes. Every registered spec supports
+// provenance and taint; only specs with introspective variants are
 // Introspective (insens has no pre-pass to introspect, cs's refinement
 // set is empty).
 func TestSpecCapabilities(t *testing.T) {
 	for _, spec := range analysis.RegisteredSpecs() {
 		caps := analysis.SpecCapabilities(spec)
-		if !caps.Workers || !caps.Provenance || !caps.Taint {
-			t.Errorf("%s: capabilities = %+v, want workers/provenance/taint all true", spec, caps)
+		if !caps.Provenance || !caps.Taint {
+			t.Errorf("%s: capabilities = %+v, want provenance/taint both true", spec, caps)
 		}
 		wantIntro := spec != "insens" && spec != "cs"
 		if caps.Introspective != wantIntro {

@@ -41,24 +41,10 @@ func (e *BudgetExceededError) Error() string {
 // errors.Is(err, pta.ErrBudgetExceeded) matches.
 func (e *BudgetExceededError) Unwrap() error { return pta.ErrBudgetExceeded }
 
-// InvalidWorkersError reports a Job.Workers value outside
-// [0, pta.MaxWorkers]. It is raised at validation time (Job.Validate /
-// NewPipeline), so a malformed job fails fast with a typed error a
-// server can map to HTTP 400 — instead of surfacing as a solve-time
-// failure deep inside a worker.
-type InvalidWorkersError struct {
-	// Workers is the rejected value.
-	Workers int
-}
-
-func (e *InvalidWorkersError) Error() string {
-	return fmt.Sprintf("analysis: Job.Workers %d out of range [0, %d]", e.Workers, pta.MaxWorkers)
-}
-
 // InvalidTaintError reports a malformed Job.Taint spec (no sources, no
 // sinks, blank or duplicate patterns, a pattern playing conflicting
-// roles). Like InvalidWorkersError it is raised at validation time, so
-// servers map it to HTTP 400 before admitting the job to a worker.
+// roles). It is raised at validation time (Job.Validate / NewPipeline),
+// so servers map it to HTTP 400 before admitting the job to a worker.
 type InvalidTaintError struct {
 	// Err is the underlying taint.Spec validation error.
 	Err error

@@ -41,20 +41,6 @@ type Job struct {
 	// default options.)
 	Syntactic *introspect.SyntacticOptions `json:"syntactic,omitempty"`
 
-	// Workers selects intra-solve parallelism for every solver pass of
-	// the pipeline: 0 or 1 run the serial solver, 2..pta.MaxWorkers
-	// run the sharded parallel solver with that many shard goroutines
-	// per solve (pta.Options.Workers). Points-to results and the
-	// schedule-independent Derivations/Propagations counters are
-	// identical at any setting; the operational Work counter follows
-	// the setting's schedule, which is one reason Workers is part of
-	// the canonical encoding (the other: a service must not serve a
-	// serial-keyed cache entry's Work numbers for a parallel request).
-	// Values outside [0, pta.MaxWorkers] are rejected by Validate with
-	// an *InvalidWorkersError. Parallel workers are incompatible with
-	// provenance recording, which needs element-wise propagation.
-	Workers int `json:"workers,omitempty"`
-
 	// Taint, if non-nil, runs the job as a unified taint analysis
 	// (internal/taint): the pipeline gains a taint-inject stage that
 	// derives a taint-instrumented copy of the program per this spec,
@@ -147,14 +133,4 @@ func (j Job) Validate() error {
 	}
 	_, _, err := resolveJob(j, nil)
 	return err
-}
-
-// effectiveWorkers normalizes a Job.Workers value to the solver's
-// effective parallelism (what pta.Result.Workers reports): 1 for any
-// serial setting, the value itself above that.
-func effectiveWorkers(w int) int {
-	if w < 1 {
-		return 1
-	}
-	return w
 }

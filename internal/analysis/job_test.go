@@ -63,6 +63,20 @@ func TestJobCanonicalDistinguishes(t *testing.T) {
 	}
 }
 
+// TestJobCanonicalPinned pins the canonical encoding of a plain job
+// byte for byte. It is the job half of internal/service's cache key,
+// so any change to it turns every entry of a durable store written by
+// an earlier build into a miss.
+func TestJobCanonicalPinned(t *testing.T) {
+	got, err := analysis.Job{Spec: "2objH"}.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"spec":"2objH"}`; string(got) != want {
+		t.Errorf("canonical encoding = %s, want %s", got, want)
+	}
+}
+
 // TestJobValidate exercises server-side validation without a program.
 func TestJobValidate(t *testing.T) {
 	so := introspect.DefaultSyntactic()

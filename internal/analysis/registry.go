@@ -127,9 +127,6 @@ func RegisteredSpecs() []string {
 // the single place spec strings are interpreted — CLIs, the examples,
 // and cmd/ptad never switch on them.
 func resolveJob(job Job, override Selector) (pta.Spec, Selector, error) {
-	if job.Workers < 0 || job.Workers > pta.MaxWorkers {
-		return pta.Spec{}, nil, &InvalidWorkersError{Workers: job.Workers}
-	}
 	if job.Taint != nil {
 		if err := job.Taint.Validate(); err != nil {
 			return pta.Spec{}, nil, &InvalidTaintError{Err: err}

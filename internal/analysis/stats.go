@@ -46,10 +46,6 @@ type Stats struct {
 	FieldPTSize int64 `json:"field_pt_size,omitempty"`
 	// PeakPTSize is the largest single points-to set of the pass.
 	PeakPTSize int `json:"peak_pt_size,omitempty"`
-	// Workers is the pass's intra-solve parallelism, recorded only for
-	// sharded solves (> 1): serial passes omit the field, keeping
-	// serial -json output byte-identical to builds before the knob.
-	Workers int `json:"workers,omitempty"`
 
 	// BudgetExceeded / Cancelled flag a pass stopped before fixpoint.
 	BudgetExceeded bool `json:"budget_exceeded,omitempty"`
@@ -59,7 +55,7 @@ type Stats struct {
 // collectStats reads the per-stage counters off a solver result.
 func collectStats(r *pta.Result) Stats {
 	nodes, edges := r.ConstraintStats()
-	st := Stats{
+	return Stats{
 		Analysis:         r.Analysis,
 		Wall:             r.Elapsed,
 		Work:             r.Work,
@@ -76,8 +72,4 @@ func collectStats(r *pta.Result) Stats {
 		FieldPTSize:      r.FieldPTSize(),
 		PeakPTSize:       r.PeakPTSize(),
 	}
-	if r.Workers > 1 {
-		st.Workers = r.Workers
-	}
-	return st
 }

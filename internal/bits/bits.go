@@ -194,44 +194,6 @@ func (s *Set) UnionWordsDiffMaskedInto(src, skip, mask, delta *Set) (added, scan
 	return s.unionWords(src, skip, mask, delta)
 }
 
-// OrDiffMasked ORs into s the elements of src that are not in skip,
-// intersected with mask (skip and mask may each be nil), and returns
-// the number of src-minus-skip elements scanned before the mask is
-// applied — the same count the UnionWords* kernels report. Unlike
-// those kernels it tracks no delta and reports no added count: it is
-// the accumulation primitive for the parallel solver's outbox sets,
-// where newness is judged by the owning shard at merge time, not by
-// the sender.
-func (s *Set) OrDiffMasked(src, skip, mask *Set) (scanned int) {
-	n := len(src.words)
-	if n == 0 {
-		return 0
-	}
-	s.reserve(src.off, src.off+n)
-	so := src.off - s.off
-	sw := s.words
-	for i, w := range src.words {
-		if skip != nil {
-			if j := i + src.off - skip.off; j >= 0 && j < len(skip.words) {
-				w &^= skip.words[j]
-			}
-		}
-		if w == 0 {
-			continue
-		}
-		scanned += bits.OnesCount64(w)
-		if mask != nil {
-			j := i + src.off - mask.off
-			if j < 0 || j >= len(mask.words) {
-				continue
-			}
-			w &= mask.words[j]
-		}
-		sw[i+so] |= w
-	}
-	return scanned
-}
-
 // DiffLen returns the number of elements of s that are not in o.
 func (s *Set) DiffLen(o *Set) int {
 	n := 0

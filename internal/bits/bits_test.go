@@ -222,73 +222,3 @@ func BenchmarkUnionInto(b *testing.B) {
 		delta = dst.UnionInto(&src, delta[:0])
 	}
 }
-
-// TestOrDiffMasked checks the outbox-accumulation kernel against a
-// reference computed element-wise: s gains (src \ skip) ∩ mask, the
-// scanned count is |src \ skip| before the mask, and pre-existing
-// elements of s survive.
-func TestOrDiffMasked(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 200; iter++ {
-		var s, src, skip, mask Set
-		want := map[int32]bool{}
-		for i := 0; i < rng.Intn(40); i++ {
-			x := int32(rng.Intn(4096))
-			s.Add(x)
-			want[x] = true
-		}
-		for i := 0; i < rng.Intn(80); i++ {
-			src.Add(int32(rng.Intn(4096)))
-		}
-		for i := 0; i < rng.Intn(80); i++ {
-			skip.Add(int32(rng.Intn(4096)))
-		}
-		for i := 0; i < rng.Intn(80); i++ {
-			mask.Add(int32(rng.Intn(4096)))
-		}
-		useSkip, useMask := rng.Intn(2) == 0, rng.Intn(2) == 0
-		var skipP, maskP *Set
-		if useSkip {
-			skipP = &skip
-		}
-		if useMask {
-			maskP = &mask
-		}
-		wantScanned := 0
-		src.ForEach(func(x int32) {
-			if useSkip && skip.Has(x) {
-				return
-			}
-			wantScanned++
-			if useMask && !mask.Has(x) {
-				return
-			}
-			want[x] = true
-		})
-		scanned := s.OrDiffMasked(&src, skipP, maskP)
-		if scanned != wantScanned {
-			t.Fatalf("iter %d: scanned = %d, want %d", iter, scanned, wantScanned)
-		}
-		if s.Len() != len(want) {
-			t.Fatalf("iter %d: len = %d, want %d", iter, s.Len(), len(want))
-		}
-		for x := range want {
-			if !s.Has(x) {
-				t.Fatalf("iter %d: missing %d", iter, x)
-			}
-		}
-	}
-	// Self-accumulation with skip aliasing the destination is the
-	// parallel solver's "propagate pt minus delta into an outbox that
-	// already saw pt" shape; src aliasing s must also be harmless
-	// (src \ s contributes nothing new).
-	var s Set
-	s.Add(1)
-	s.Add(70)
-	if got := s.OrDiffMasked(&s, &s, nil); got != 0 {
-		t.Fatalf("self OrDiffMasked scanned = %d, want 0", got)
-	}
-	if s.Len() != 2 {
-		t.Fatalf("self OrDiffMasked changed the set: len %d", s.Len())
-	}
-}

@@ -42,13 +42,6 @@ type Config struct {
 	// snapshots; 0 means the solver default. Effective only with
 	// Tracer set.
 	SnapshotEvery int64
-	// Workers is the intra-solve parallelism of every solver pass
-	// (analysis.Job.Workers): 0 or 1 run the serial solver, higher
-	// values the sharded one. Orthogonal to Parallel, which multiplexes
-	// whole runs: Parallel×Workers goroutines may be solving at once.
-	// Figure rows are identical at any setting except the operational
-	// Work column, which follows the chosen schedule.
-	Workers int
 }
 
 // DefaultBudget reproduces the paper's timeout behavior on this suite:
@@ -92,18 +85,16 @@ func rowOf(req analysis.Request, rr analysis.RunResult) (report.Row, error) {
 	return report.Row{Benchmark: req.Source.Bench, Precision: *rr.Result.Precision}, nil
 }
 
-// instrument applies the Config's per-request settings to a fleet:
-// the solve parallelism is stamped on every Job, and — with a tracer
-// set — each request gets its own track (so concurrent runs render on
+// instrument applies the Config's tracing to a fleet: with a tracer
+// set, each request gets its own track (so concurrent runs render on
 // separate lanes) on top of any observer it already carries. Every
-// fleet must pass through here before RunAll, or its requests would
-// silently drop back to the serial solver.
+// fleet must pass through here before RunAll, or its runs would be
+// missing from the trace.
 func (c Config) instrument(reqs []analysis.Request) {
+	if c.Tracer == nil {
+		return
+	}
 	for i := range reqs {
-		reqs[i].Job.Workers = c.Workers
-		if c.Tracer == nil {
-			continue
-		}
 		track := c.Tracer.NewTrack(benchOf(reqs[i]) + " " + reqs[i].Job.Spec)
 		reqs[i].Observer = analysis.Observers(reqs[i].Observer, analysis.TrackObserver(track))
 		reqs[i].SnapshotEvery = c.SnapshotEvery

@@ -32,12 +32,7 @@ type Result struct {
 	// Propagations is the number of (element, edge) propagation
 	// attempts along subset constraints.
 	Propagations int64
-	// Workers is the effective intra-solve parallelism of the run: 1
-	// for the serial solver, Options.Workers for a sharded solve.
-	// Points-to relations and Derivations/Propagations are identical
-	// at any setting; Work follows the setting's schedule.
-	Workers int
-	Elapsed time.Duration
+	Elapsed      time.Duration
 
 	s *solver
 }

@@ -49,28 +49,7 @@ type Options struct {
 	// hash-table insert per derived fact; disabled it costs one nil
 	// check per fact. See provenance.go.
 	Provenance bool
-	// Workers selects intra-solve parallelism: 0 or 1 run the serial
-	// solver (bit-identical results and work accounting to builds
-	// before the knob existed — the serial hot path pays one nil check,
-	// the same discipline as the provenance and snapshot hooks);
-	// 2..MaxWorkers partition the constraint graph into that many
-	// shards and run one worklist goroutine per shard (see
-	// parallel.go). Points-to results are identical at any setting and
-	// every setting is individually deterministic, but the operational
-	// Work counter above 1 follows the parallel schedule: compare
-	// Derivations/Propagations across modes, not Work. Values outside
-	// [0, MaxWorkers], or any value above 1 combined with Provenance
-	// (which needs element-wise propagation), make Solve fail with a
-	// nil Result.
-	Workers int
 }
-
-// MaxWorkers is the largest accepted Options.Workers. The shard id is
-// stored per node in a uint8 and useful shard counts are bounded by
-// core counts anyway; the hard cap turns a garbage value (an absurd
-// config or an overflow) into a validation error instead of a
-// million-goroutine solve.
-const MaxWorkers = 64
 
 // DefaultBudget is the work-unit budget standing in for the paper's
 // 90-minute timeout.
@@ -117,17 +96,6 @@ type Snapshot struct {
 	// but not yet flushed across outgoing edges.
 	PTTotal      int64 `json:"pt_total"`
 	DeltaPending int64 `json:"delta_pending"`
-	// Shards, Round, and Mailbox describe a parallel solve
-	// (Options.Workers > 1; all three are omitted for serial runs):
-	// the shard count, the number of completed data-phase rounds, and
-	// the boundary facts currently queued in outboxes, inboxes, and
-	// un-replayed use events. In parallel mode Worklist aggregates the
-	// per-shard worklists. Snapshots are only taken between phases
-	// (control loop or barrier), so a sample is always a consistent
-	// single-threaded view.
-	Shards  int   `json:"shards,omitempty"`
-	Round   int64 `json:"round,omitempty"`
-	Mailbox int64 `json:"mailbox,omitempty"`
 }
 
 // checkCtxEvery is how often (in worklist pops) the solver polls its
@@ -262,11 +230,6 @@ type solver struct {
 	// (Options.Provenance; see provenance.go).
 	prov *provRecorder
 
-	// par, when non-nil, holds the sharded parallel-solve runtime
-	// (Options.Workers > 1; see parallel.go). Serial solves pay one
-	// nil check per worklist push and per new edge.
-	par *parRuntime
-
 	work         int64
 	derivations  int64 // new points-to facts established
 	propagations int64 // (element, edge) propagation attempts
@@ -297,17 +260,8 @@ type solver struct {
 // fixpoint the error is nil; if the work budget runs out first, the
 // error wraps ErrBudgetExceeded; if ctx is cancelled or its deadline
 // passes, the error wraps ctx.Err(). In both failure cases the Result
-// is a sound-in-progress under-approximation (Complete is false). An
-// invalid configuration — Options.Workers outside [0, MaxWorkers], or
-// parallel workers combined with Provenance — is rejected before the
-// solve begins with a nil Result.
+// is a sound-in-progress under-approximation (Complete is false).
 func Solve(ctx context.Context, prog *ir.Program, strat Strategy, tab *Table, opts Options) (*Result, error) {
-	if opts.Workers < 0 || opts.Workers > MaxWorkers {
-		return nil, fmt.Errorf("pta: Options.Workers %d out of range [0, %d]", opts.Workers, MaxWorkers)
-	}
-	if opts.Workers > 1 && opts.Provenance {
-		return nil, fmt.Errorf("pta: provenance recording requires a serial solve (Options.Workers <= 1, got %d)", opts.Workers)
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -334,24 +288,12 @@ func Solve(ctx context.Context, prog *ir.Program, strat Strategy, tab *Table, op
 	if opts.Provenance {
 		s.prov = &provRecorder{}
 	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > 1 {
-		s.par = newParRuntime(prog, workers)
-	}
 	start := time.Now() //introvet:allow feeds only Result.Elapsed, which no result or report table depends on
-	if s.par != nil {
-		s.runParallel()
-	} else {
-		s.run()
-	}
+	s.run()
 	s.finalize()
 	res := &Result{
 		Prog:         prog,
 		Analysis:     strat.Name(),
-		Workers:      workers,
 		Complete:     !s.exceeded && s.ctxErr == nil,
 		Work:         s.work,
 		Derivations:  s.derivations,
@@ -431,9 +373,6 @@ func (s *solver) node(k nodeKind, a, b int32) int32 {
 	s.storeUses = append(s.storeUses, nil)
 	s.callUses = append(s.callUses, nil)
 	s.inWL = append(s.inWL, false)
-	if s.par != nil {
-		s.par.shardOf = append(s.par.shardOf, s.par.part.shard(k, a, b))
-	}
 	return id
 }
 
@@ -478,10 +417,6 @@ func (s *solver) staticNodeID(f ir.FieldID) int32 {
 // --- constraint construction ---
 
 func (s *solver) push(n int32) {
-	if s.par != nil {
-		s.par.shards[s.par.shardOf[n]].push(s, n)
-		return
-	}
 	if !s.inWL[n] {
 		s.inWL[n] = true
 		s.wl = append(s.wl, n)
@@ -560,19 +495,6 @@ func (s *solver) addEdge(src, dst int32, filter ir.TypeID) {
 		return
 	}
 	s.succs[src] = append(s.succs[src], edge{dst: dst, filter: filter})
-	if s.par != nil {
-		// Parallel mode: the edge itself is installed here (the control
-		// phase owns succs), but the install-time scan of src's
-		// already-flushed facts is a set operation on src, so it belongs
-		// to src's shard — queued for its next data phase. Nothing can
-		// retire delta[src] before that scan runs (only the owner takes
-		// deltas, and it drains newEdges before its worklist), so the
-		// scan sees the same flushed/pending split the serial install
-		// would have.
-		sh := &s.par.shards[s.par.shardOf[src]]
-		sh.newEdges = append(sh.newEdges, parEdge{src: src, dst: dst, filter: filter})
-		return
-	}
 	if s.elementwise() {
 		// Element-wise slow path so the debug hook / provenance
 		// recorder observes every fact. Work accounting matches the
@@ -863,22 +785,6 @@ func (s *solver) takeSnapshot() Snapshot {
 		sn.PTTotal += int64(s.ptLen[i])
 		sn.DeltaPending += int64(s.deltaLen[i])
 	}
-	if s.par != nil {
-		sn.Shards = s.par.w
-		sn.Round = s.par.round
-		wl := 0
-		var mail int64
-		for i := range s.par.shards {
-			sh := &s.par.shards[i]
-			wl += len(sh.wl)
-			mail += int64(len(sh.in) - sh.inNext)
-			for j := range sh.out {
-				mail += int64(len(sh.out[j]))
-			}
-		}
-		sn.Worklist = wl
-		sn.Mailbox = mail + int64(len(s.par.events)-s.par.evNext)
-	}
 	return sn
 }
 
@@ -981,11 +887,7 @@ func (s *solver) processNode(n int32) {
 
 // processUses applies var node n's registered load/store/call uses to
 // a batch d of newly arrived heap objects: field expansion and
-// receiver dispatch, the per-element part of a flush. The serial flush
-// calls it inline; in parallel mode the data phase hands the batch
-// back as an event and the control phase replays it here, because
-// every callee mutates single-threaded structures (interning tables,
-// successor lists, the call graph, the context policy).
+// receiver dispatch, the per-element part of a flush.
 func (s *solver) processUses(n int32, d *bits.Set) {
 	ctx := Ctx(s.nodeB[n])
 	for i := range s.loadUses[n] {

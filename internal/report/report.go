@@ -43,13 +43,9 @@ type Precision struct {
 	// paper's set-explosion indicator.
 	PeakPT int `json:"peak_pt"`
 	// Work is the solver work performed (the deterministic time proxy).
-	// It is schedule-dependent: a sharded solve charges the same facts
-	// in a different interleaving, so serial and parallel runs of one
-	// job report slightly different Work.
 	Work int64 `json:"work"`
-	// Derivations is the points-to facts established — unlike Work it
-	// is schedule-independent, so it is the cost counter to compare
-	// across Workers settings (the bench gate keys on it).
+	// Derivations is the points-to facts established: the size of the
+	// fixpoint, independent of the order facts were derived in.
 	Derivations int64 `json:"derivations,omitempty"`
 	// ElapsedMS is wall-clock milliseconds.
 	ElapsedMS int64 `json:"elapsed_ms"`

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"introspect/internal/analysis"
-	"introspect/internal/introspect"
 	"introspect/internal/pta"
 	ptav1 "introspect/pta/v1"
 )
@@ -42,28 +41,22 @@ func (f *flightMeta) setSnapshot(snap pta.Snapshot) {
 	f.mu.Unlock()
 }
 
-// observer adapts the flight record to the pipeline's Observer
-// interface. Progress (the cheap high-frequency callback) keeps the
-// work counter fresh between full snapshots.
-type flightObserver struct{ fl *flightMeta }
-
-func (o flightObserver) StageStart(stage string) { o.fl.setStage(stage) }
-
-func (o flightObserver) StageFinish(string, analysis.Stats, error) {}
-
-func (o flightObserver) Progress(stage string, work int64) {
-	o.fl.mu.Lock()
-	if work > o.fl.snap.Work {
-		o.fl.snap.Work = work
+// observer feeds the flight record from the pipeline's callbacks.
+// Progress (the cheap high-frequency callback) keeps the work counter
+// fresh between full snapshots.
+func (f *flightMeta) observer() analysis.Observer {
+	return analysis.ObserverFuncs{
+		OnStageStart: f.setStage,
+		OnProgress: func(_ string, work int64) {
+			f.mu.Lock()
+			if work > f.snap.Work {
+				f.snap.Work = work
+			}
+			f.mu.Unlock()
+		},
+		OnSolveSnapshot: func(_ string, snap pta.Snapshot) { f.setSnapshot(snap) },
 	}
-	o.fl.mu.Unlock()
 }
-
-func (o flightObserver) SolveSnapshot(stage string, snap pta.Snapshot) {
-	o.fl.setSnapshot(snap)
-}
-
-func (o flightObserver) Decisions(string, []introspect.Decision) {}
 
 // registerFlight adds a record for one admitted solve; the caller must
 // deregister it (deferred) when the solve returns.

@@ -5,49 +5,43 @@ import (
 	"sync"
 
 	"introspect/internal/analysis"
-	"introspect/internal/introspect"
-	"introspect/internal/pta"
 )
 
-// memObserver samples runtime.MemStats at stage boundaries and reports
-// each stage's allocation delta — and, for the main pass, the
-// bytes-per-constraint-node figure — to the service metrics. One
-// instance is composed into each solve's observer chain; within a run
-// the pipeline serializes callbacks, but the mutex keeps the sampler
-// correct under any future overlap. TotalAlloc is process-wide, so
-// concurrent solves inflate each other's deltas; the numbers size
-// capacity, they do not attribute allocations exactly.
-type memObserver struct {
-	m *Metrics
-
-	mu      sync.Mutex
-	atStart uint64 // TotalAlloc when the current stage began
-}
-
-func (o *memObserver) StageStart(string) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	o.mu.Lock()
-	o.atStart = ms.TotalAlloc
-	o.mu.Unlock()
-}
-
-func (o *memObserver) StageFinish(stage string, st analysis.Stats, err error) {
-	if err != nil {
-		return
+// allocObserver samples runtime.MemStats at stage boundaries and
+// reports each stage's allocation delta — and, for the main pass, the
+// bytes-per-constraint-node figure — to m. One is composed into each
+// solve's observer chain; within a run the pipeline serializes
+// callbacks, but the mutex keeps the sampler correct under any future
+// overlap. TotalAlloc is process-wide, so concurrent solves inflate
+// each other's deltas; the numbers size capacity, they do not
+// attribute allocations exactly.
+func allocObserver(m *Metrics) analysis.Observer {
+	var (
+		mu      sync.Mutex
+		atStart uint64 // TotalAlloc when the current stage began
+	)
+	return analysis.ObserverFuncs{
+		OnStageStart: func(string) {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mu.Lock()
+			atStart = ms.TotalAlloc
+			mu.Unlock()
+		},
+		OnStageFinish: func(stage string, st analysis.Stats, err error) {
+			if err != nil {
+				return
+			}
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mu.Lock()
+			delta := ms.TotalAlloc - atStart
+			mu.Unlock()
+			nodes := 0
+			if stage == analysis.StageMainPass {
+				nodes = st.Nodes
+			}
+			m.observeStageAlloc(stage, delta, nodes)
+		},
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	o.mu.Lock()
-	delta := ms.TotalAlloc - o.atStart
-	o.mu.Unlock()
-	nodes := 0
-	if stage == analysis.StageMainPass {
-		nodes = st.Nodes
-	}
-	o.m.observeStageAlloc(stage, delta, nodes)
 }
-
-func (o *memObserver) Progress(string, int64)                  {}
-func (o *memObserver) SolveSnapshot(string, pta.Snapshot)      {}
-func (o *memObserver) Decisions(string, []introspect.Decision) {}

@@ -74,7 +74,7 @@ type Metrics struct {
 	// '|'; products spell "a*b").
 	decisions map[string]uint64
 
-	// Memory telemetry, fed by memObserver: cumulative bytes allocated
+	// Memory telemetry, fed by allocObserver: cumulative bytes allocated
 	// per pipeline stage, the latest solve's per-stage delta, and the
 	// latest main-pass bytes-per-constraint-node figure. Deltas are
 	// process-wide TotalAlloc differences, so concurrent solves bleed
@@ -153,9 +153,9 @@ func (m *Metrics) add(c *uint64) {
 // histJSON is a histogram's wire form: cumulative "le" buckets plus
 // count and sum, mirroring the Prometheus text shapes in JSON.
 type histJSON struct {
-	Count   uint64             `json:"count"`
-	SumMS   float64            `json:"sum_ms"`
-	Buckets map[string]uint64  `json:"buckets"` // "le_<bound_ms>" and "le_inf", cumulative
+	Count   uint64            `json:"count"`
+	SumMS   float64           `json:"sum_ms"`
+	Buckets map[string]uint64 `json:"buckets"` // "le_<bound_ms>" and "le_inf", cumulative
 }
 
 // MetricsSnapshot is the GET /metrics document.

@@ -265,10 +265,9 @@ func SpecList() ptav1.SpecsDoc {
 		specs[i] = ptav1.SpecInfo{Name: n, Capabilities: analysis.SpecCapabilities(n)}
 	}
 	return ptav1.SpecsDoc{
-		Schema:     ptav1.Schema,
-		MaxWorkers: pta.MaxWorkers,
-		Specs:      specs,
-		Variants:   analysis.Variants(),
+		Schema:   ptav1.Schema,
+		Specs:    specs,
+		Variants: analysis.Variants(),
 	}
 }
 
@@ -455,7 +454,7 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 	// Heartbeats (GET /v1/flights) and memory telemetry always; trace
 	// spans when the service has a tracer. One track per solve keeps
 	// concurrent requests on separate lanes in the viewer.
-	observer := analysis.Observers(flightObserver{fl}, &memObserver{m: s.metrics})
+	observer := analysis.Observers(fl.observer(), allocObserver(s.metrics))
 	if s.cfg.Tracer != nil {
 		track := s.cfg.Tracer.NewTrack(fmt.Sprintf("#%d %s %s", fl.id, req.Name, req.Job.Spec))
 		observer = analysis.Observers(observer, analysis.TrackObserver(track))
@@ -482,16 +481,11 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 	// the pipeline itself checks, so injection is exactly as valid as a
 	// fresh pre-pass solve. Requests that record provenance skip the
 	// shared result unless it, too, has provenance — witnesses must
-	// stay reconstructible. The solve mode must match as well (the
-	// pipeline enforces it, so a mismatched injection would fail the
-	// request rather than contaminate it): a serial request never
-	// reports a parallel pre-pass's Work, and vice versa.
-	// Taint jobs never share: their pre-pass solves the
-	// taint-instrumented program, not the program the cached
-	// insensitive result was solved over.
+	// stay reconstructible. Taint jobs never share: their pre-pass
+	// solves the taint-instrumented program, not the program the
+	// cached insensitive result was solved over.
 	if first := entry.sharedFirst(); first != nil && req.Job.Taint == nil && req.Job.NeedsPrePass() &&
-		(!req.Provenance || first.ProvenanceEnabled()) &&
-		first.Workers == effectiveJobWorkers(req.Job.Workers) {
+		(!req.Provenance || first.ProvenanceEnabled()) {
 		areq.First = first
 		s.metrics.add(&s.metrics.prePassShared)
 	}
@@ -568,9 +562,6 @@ func (s *Service) validate(req Request) (Request, *Error) {
 	if err := req.Job.Validate(); err != nil {
 		return req, errf(CodeBadRequest, "%v", err)
 	}
-	if req.Provenance && req.Job.Workers > 1 {
-		return req, errf(CodeBadRequest, "provenance recording requires a serial solve (workers <= 1, got %d)", req.Job.Workers)
-	}
 	if req.Budget == 0 {
 		req.Budget = s.cfg.DefaultBudget
 	}
@@ -623,14 +614,4 @@ func deadlineStage(res *analysis.Result) string {
 		return "stage frontend"
 	}
 	return fmt.Sprintf("stage %s (work=%d)", res.Stages[len(res.Stages)-1].Stage, res.Stages[len(res.Stages)-1].Work)
-}
-
-// effectiveJobWorkers mirrors the solver's normalization of
-// Job.Workers (what pta.Result.Workers reports): any serial setting —
-// 0 or 1 — is effectively 1.
-func effectiveJobWorkers(w int) int {
-	if w < 1 {
-		return 1
-	}
-	return w
 }

@@ -42,9 +42,6 @@ func TestSpecListLockstep(t *testing.T) {
 	if !reflect.DeepEqual(doc.Variants, analysis.Variants()) {
 		t.Errorf("/v1/specs variants = %v, registry = %v", doc.Variants, analysis.Variants())
 	}
-	if doc.MaxWorkers != pta.MaxWorkers {
-		t.Errorf("/v1/specs max_workers = %d, want %d", doc.MaxWorkers, pta.MaxWorkers)
-	}
 
 	found := map[string]bool{}
 	for _, s := range doc.Specs {
@@ -90,9 +87,9 @@ func TestSpecCapabilities(t *testing.T) {
 		spec string
 		want ptav1.Capabilities
 	}{
-		{"insens", ptav1.Capabilities{Workers: true, Provenance: true, Taint: true, Introspective: false}},
-		{"cs", ptav1.Capabilities{Workers: true, Provenance: true, Taint: true, Introspective: false}},
-		{"2objH", ptav1.Capabilities{Workers: true, Provenance: true, Taint: true, Introspective: true}},
+		{"insens", ptav1.Capabilities{Provenance: true, Taint: true, Introspective: false}},
+		{"cs", ptav1.Capabilities{Provenance: true, Taint: true, Introspective: false}},
+		{"2objH", ptav1.Capabilities{Provenance: true, Taint: true, Introspective: true}},
 	} {
 		got, ok := caps[c.spec]
 		if !ok {

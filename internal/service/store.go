@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -59,8 +60,9 @@ type diskStore struct {
 }
 
 // openDiskStore creates/opens the store rooted at dir and rebuilds the
-// LRU index from the files present, most-recently-modified first.
-// Entries beyond capacity are evicted (deleted) oldest-first.
+// LRU index from the entry files present (see entryKey),
+// most-recently-modified first. Entries beyond capacity are evicted
+// (deleted) oldest-first; other files under dir are left alone.
 func openDiskStore(dir string, capacity int) (*diskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache dir: %w", err)
@@ -85,15 +87,15 @@ func openDiskStore(dir string, capacity int) (*diskStore, error) {
 			continue
 		}
 		for _, f := range files {
-			name := f.Name()
-			if filepath.Ext(name) != ".json" {
+			key, ok := entryKey(sub.Name(), f.Name())
+			if !ok {
 				continue
 			}
 			info, err := f.Info()
 			if err != nil {
 				continue
 			}
-			found = append(found, onDisk{key: name[:len(name)-len(".json")], mtime: info.ModTime()})
+			found = append(found, onDisk{key: key, mtime: info.ModTime()})
 		}
 	}
 	// Oldest first, so pushing each to the front leaves the newest at
@@ -115,6 +117,20 @@ func openDiskStore(dir string, capacity int) (*diskStore, error) {
 		os.Remove(s.path(k))
 	}
 	return s, nil
+}
+
+// entryKey returns the key of the file name in fan-out directory sub
+// if it names a store entry: a 64-character lowercase-hex key (what
+// path writes) whose first two characters are sub, plus ".json".
+// Anything else — a stray or hand-copied file — is not the store's to
+// index or evict, and a short name would break path's slicing.
+func entryKey(sub, name string) (string, bool) {
+	key, ok := strings.CutSuffix(name, ".json")
+	if !ok || len(key) != 2*sha256.Size || key[:2] != sub ||
+		strings.TrimLeft(key, "0123456789abcdef") != "" {
+		return "", false
+	}
+	return key, true
 }
 
 // path places key under a two-hex-character fan-out directory, keeping

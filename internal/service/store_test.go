@@ -213,3 +213,62 @@ func TestDiskStoreEviction(t *testing.T) {
 		t.Errorf("evicted spec %s: cache = %q, want miss", specs[0], doc.Cache)
 	}
 }
+
+// TestDiskStoreIgnoresStrayFiles: the index rebuild adopts only files
+// named like store entries — a 64-hex-character key inside the fan-out
+// directory named by its first two characters. Other files under the
+// cache directory are neither indexed nor evicted, so a short name can
+// no longer crash the path slicing at start-up or in a later put's
+// eviction.
+func TestDiskStoreIgnoresStrayFiles(t *testing.T) {
+	dir := t.TempDir()
+	src := holderMJ(t)
+	req := func(spec string) service.Request {
+		return service.Request{Name: "holder", Source: src, Job: analysis.Job{Spec: spec}}
+	}
+	svc := service.MustNew(service.Config{Workers: 1, CacheDir: dir})
+	for _, spec := range []string{"insens", "cs", "1obj"} {
+		analyzeOne(t, svc, req(spec))
+	}
+	if files := storeFiles(t, dir); len(files) != 3 {
+		t.Fatalf("store files = %d, want 3", len(files))
+	}
+
+	// Strays older than every entry: a rebuild that indexed them would
+	// evict them first.
+	var strays []string
+	epoch := time.Unix(0, 0)
+	for _, rel := range []string{"zz/x.json", "ab/.json", "ab/abcd.json"} {
+		p := filepath.Join(dir, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte("not a store file"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(p, epoch, epoch); err != nil {
+			t.Fatal(err)
+		}
+		strays = append(strays, p)
+	}
+
+	// Start-up eviction: capacity 2 over three entries evicts one.
+	fresh := service.MustNew(service.Config{Workers: 1, CacheDir: dir, DiskEntries: 2})
+	if m := fresh.Metrics(); m.Disk.Entries != 2 {
+		t.Errorf("after open: disk entries = %d, want 2 (strays must not be indexed)", m.Disk.Entries)
+	}
+	// Put eviction: a new solve pushes out another entry.
+	analyzeOne(t, fresh, req("2objH"))
+	if m := fresh.Metrics(); m.Disk.Entries != 2 {
+		t.Errorf("after put: disk entries = %d, want 2", m.Disk.Entries)
+	}
+
+	for _, p := range strays {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("stray file: %v (the store must leave it alone)", err)
+		}
+	}
+	if files := storeFiles(t, dir); len(files) != 2+len(strays) {
+		t.Errorf("files = %d, want 2 entries + %d strays: %v", len(files), len(strays), files)
+	}
+}

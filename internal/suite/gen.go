@@ -24,7 +24,7 @@
 //     above Heuristic B's P) — pathology that *both* heuristics disarm.
 //
 // All generation is deterministic: a subject is fully determined by its
-// profile (including its seed).
+// profile.
 package suite
 
 import (
@@ -33,39 +33,16 @@ import (
 	"introspect/internal/ir"
 )
 
-// rng is a SplitMix64 generator: tiny, fast, deterministic across
-// platforms.
-type rng struct{ state uint64 }
-
-func newRng(seed uint64) *rng { return &rng{state: seed} }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// intn returns a value in [0, n).
-func (r *rng) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
-}
-
 // gen carries shared state while emitting one subject.
 type gen struct {
 	b    *ir.Builder
-	rng  *rng
 	main *ir.MethodBuilder // the program entry; patterns append calls here
 
 	uniq int // counter for unique names
 }
 
-func newGen(name string, seed uint64) *gen {
-	g := &gen{b: ir.NewBuilder(name), rng: newRng(seed)}
+func newGen(name string) *gen {
+	g := &gen{b: ir.NewBuilder(name)}
 	mainCls := g.b.AddClass("Main", ir.None, nil)
 	g.main = g.b.AddStaticMethod(mainCls, "main", 0, true)
 	g.b.AddEntry(g.main.ID())

@@ -28,7 +28,7 @@ func analyze(prog *ir.Program, spec string) (*pta.Result, error) {
 func TestObjExplosionContextProduct(t *testing.T) {
 	// W driver factories × S sessions must produce ≈ W·S contexts for
 	// the chain methods under 2objH.
-	p := suite.Profile{Name: "tiny-oe", Seed: 1,
+	p := suite.Profile{Name: "tiny-oe",
 		ObjExpl: []suite.ObjExplParams{{S: 6, W: 5, D: 2, L: 2, P: 3, SessClasses: 2, DrvClasses: 2}}}
 	prog := p.Build()
 	ins, err := analyze(prog, "insens")
@@ -68,7 +68,7 @@ func TestObjExplosionContextProduct(t *testing.T) {
 }
 
 func TestCallFanoutContextProduct(t *testing.T) {
-	p := suite.Profile{Name: "tiny-cf", Seed: 1,
+	p := suite.Profile{Name: "tiny-cf",
 		CallFan: []suite.CallFanParams{{U: 7, V: 5, D: 2, L: 2, P: 3}}}
 	prog := p.Build()
 	ins, err := analyze(prog, "insens")
@@ -98,7 +98,7 @@ func TestHeavyServiceVolumeMetric(t *testing.T) {
 	// serve's total points-to volume must be ≈ L·P, the quantity
 	// Heuristic B thresholds on.
 	const L, P = 4, 6
-	p := suite.Profile{Name: "tiny-hv", Seed: 1,
+	p := suite.Profile{Name: "tiny-hv",
 		Heavy: []suite.HeavyParams{{H: 2, HClasses: 2, L: L, P: P}}}
 	prog := p.Build()
 	res, err := analyze(prog, "insens")
@@ -129,7 +129,7 @@ func TestRouterInflowMetric(t *testing.T) {
 	// The feed call sites' in-flow must equal Pm — the value Heuristic
 	// A thresholds on.
 	const Pm = 9
-	p := suite.Profile{Name: "tiny-rt", Seed: 1,
+	p := suite.Profile{Name: "tiny-rt",
 		Routers: []suite.RouterParams{{R: 2, Pm: Pm, J: 1}}}
 	prog := p.Build()
 	res, err := analyze(prog, "insens")

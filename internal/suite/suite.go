@@ -8,11 +8,10 @@ import (
 	"introspect/internal/ir"
 )
 
-// Profile describes one synthetic benchmark: its seed and the pattern
+// Profile describes one synthetic benchmark: its name and the pattern
 // mix. Zero-valued patterns are omitted.
 type Profile struct {
 	Name string
-	Seed uint64
 
 	Bulk    bulkParams
 	Stores  []typedStoreParams
@@ -24,7 +23,7 @@ type Profile struct {
 
 // Build generates the benchmark program for a profile.
 func (p Profile) Build() *ir.Program {
-	g := newGen(p.Name, p.Seed)
+	g := newGen(p.Name)
 	g.bulk(p.Bulk)
 	for _, s := range p.Stores {
 		g.typedStore(s)
@@ -59,7 +58,6 @@ func (p Profile) Build() *ir.Program {
 func Profiles() map[string]Profile {
 	ps := map[string]Profile{
 		"antlr": {
-			Seed: 0xA1,
 			Bulk: bulkParams{Classes: 120, MethodsPer: 4},
 			Stores: []typedStoreParams{
 				{K: 40, SharedFrac: 0.3, DrainFrac: 0.5},
@@ -68,7 +66,6 @@ func Profiles() map[string]Profile {
 			Heavy:   []heavyParams{{H: 10, HClasses: 4, L: 10, P: 150}},
 		},
 		"lusearch": {
-			Seed: 0x15,
 			Bulk: bulkParams{Classes: 100, MethodsPer: 4},
 			Stores: []typedStoreParams{
 				{K: 30, SharedFrac: 0.3, DrainFrac: 0.5},
@@ -76,7 +73,6 @@ func Profiles() map[string]Profile {
 			Routers: []routerParams{{R: 3, Pm: 230, J: 2}},
 		},
 		"pmd": {
-			Seed: 0xBD,
 			Bulk: bulkParams{Classes: 150, MethodsPer: 4},
 			Stores: []typedStoreParams{
 				{K: 50, SharedFrac: 0.3, DrainFrac: 0.5},
@@ -85,7 +81,6 @@ func Profiles() map[string]Profile {
 			Heavy:   []heavyParams{{H: 12, HClasses: 5, L: 12, P: 180}},
 		},
 		"chart": {
-			Seed: 0xC4,
 			Bulk: bulkParams{Classes: 200, MethodsPer: 5},
 			Stores: []typedStoreParams{
 				{K: 60, SharedFrac: 0.3, DrainFrac: 0.5},
@@ -94,7 +89,6 @@ func Profiles() map[string]Profile {
 			Heavy:   []heavyParams{{H: 20, HClasses: 6, L: 20, P: 300}},
 		},
 		"eclipse": {
-			Seed: 0xEC,
 			Bulk: bulkParams{Classes: 250, MethodsPer: 5},
 			Stores: []typedStoreParams{
 				{K: 70, SharedFrac: 0.3, DrainFrac: 0.5},
@@ -106,7 +100,6 @@ func Profiles() map[string]Profile {
 			Heavy: []heavyParams{{H: 25, HClasses: 8, L: 20, P: 300}},
 		},
 		"bloat": {
-			Seed: 0xB1,
 			Bulk: bulkParams{Classes: 200, MethodsPer: 5},
 			Stores: []typedStoreParams{
 				{K: 60, SharedFrac: 0.3, DrainFrac: 0.5},
@@ -124,7 +117,6 @@ func Profiles() map[string]Profile {
 			Heavy: []heavyParams{{H: 40, HClasses: 10, L: 60, P: 400}},
 		},
 		"xalan": {
-			Seed: 0x8A,
 			Bulk: bulkParams{Classes: 180, MethodsPer: 5},
 			Stores: []typedStoreParams{
 				{K: 55, SharedFrac: 0.3, DrainFrac: 0.5},
@@ -139,7 +131,6 @@ func Profiles() map[string]Profile {
 			Heavy: []heavyParams{{H: 30, HClasses: 8, L: 60, P: 400}},
 		},
 		"hsqldb": {
-			Seed: 0xDB,
 			Bulk: bulkParams{Classes: 160, MethodsPer: 5},
 			Stores: []typedStoreParams{
 				{K: 50, SharedFrac: 0.3, DrainFrac: 0.5},
@@ -156,7 +147,6 @@ func Profiles() map[string]Profile {
 			},
 		},
 		"jython": {
-			Seed: 0x17,
 			Bulk: bulkParams{Classes: 160, MethodsPer: 5},
 			Stores: []typedStoreParams{
 				{K: 50, SharedFrac: 0.3, DrainFrac: 0.5},

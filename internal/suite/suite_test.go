@@ -90,21 +90,3 @@ func TestPatternsProduceDistinctAllocSites(t *testing.T) {
 		t.Errorf("%d alloc instructions vs %d heaps", len(seen), prog.NumHeaps())
 	}
 }
-
-func TestRngDeterminism(t *testing.T) {
-	a, b := newRng(42), newRng(42)
-	for i := 0; i < 100; i++ {
-		if a.next() != b.next() {
-			t.Fatal("rng not deterministic")
-		}
-	}
-	r := newRng(7)
-	for i := 0; i < 100; i++ {
-		if v := r.intn(10); v < 0 || v >= 10 {
-			t.Fatalf("intn out of range: %d", v)
-		}
-	}
-	if r.intn(0) != 0 {
-		t.Error("intn(0) should be 0")
-	}
-}

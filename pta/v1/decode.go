@@ -26,9 +26,10 @@ const DefaultSpec = "2objH"
 //     representations and work on every encoding.
 //   - POST with any other content type: the body is raw program
 //     source, and the job rides in query parameters — lang (mj|ir),
-//     name, spec, budget, deadline_ms, provenance, workers,
+//     name, spec, budget, deadline_ms, provenance,
 //     taint-sources/taint-sinks/taint-sanitizers (comma-separated),
-//     stream, decisions, trace.
+//     stream, decisions, trace. A workers parameter is refused, as
+//     the JSON form refuses a workers field.
 //   - GET: no body; the "source" query parameter carries the program
 //     and the remaining parameters work as in the raw-POST form. GET
 //     streams by default (stream=false opts out): it is the
@@ -107,10 +108,10 @@ func decodeQuery(req *AnalyzeRequest, q map[string][]string) *Error {
 			return Errorf(CodeBadRequest, "provenance: %v", err)
 		}
 	}
-	if v := get("workers"); v != "" {
-		if req.Job.Workers, err = strconv.Atoi(v); err != nil {
-			return Errorf(CodeBadRequest, "workers: %v", err)
-		}
+	// The JSON form rejects a job's workers field as unknown; the
+	// query forms refuse the parameter too rather than ignore it.
+	if _, ok := q["workers"]; ok {
+		return Errorf(CodeBadRequest, "workers: unknown parameter (every job runs on the serial solver)")
 	}
 	sources, sinks, sans := splitList(get("taint-sources")), splitList(get("taint-sinks")), splitList(get("taint-sanitizers"))
 	if len(sources) > 0 || len(sinks) > 0 || len(sans) > 0 {

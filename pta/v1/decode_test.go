@@ -63,11 +63,11 @@ func TestDecodeEncodingsAgree(t *testing.T) {
 		},
 		{
 			name:  "explicit job",
-			json:  `{"lang":"mj","name":"p","source":` + quote(src) + `,"job":{"spec":"insens","workers":2},"budget":-1,"deadline_ms":5,"provenance":true}`,
-			query: "lang=mj&name=p&spec=insens&workers=2&budget=-1&deadline_ms=5&provenance=true",
+			json:  `{"lang":"mj","name":"p","source":` + quote(src) + `,"job":{"spec":"insens"},"budget":-1,"deadline_ms":5,"provenance":true}`,
+			query: "lang=mj&name=p&spec=insens&budget=-1&deadline_ms=5&provenance=true",
 			want: ptav1.AnalyzeRequest{
 				Lang: "mj", Name: "p", Source: src,
-				Job:    analysis.Job{Spec: "insens", Workers: 2},
+				Job:    analysis.Job{Spec: "insens"},
 				Budget: -1, DeadlineMS: 5, Provenance: true,
 			},
 		},
@@ -160,7 +160,8 @@ func TestDecodeStreamParam(t *testing.T) {
 }
 
 // TestDecodeErrors: malformed parameters and bodies are CodeBadRequest,
-// never a panic or a silent zero.
+// never a panic or a silent zero. The retired workers knob is refused
+// on all three encodings alike.
 func TestDecodeErrors(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -171,7 +172,9 @@ func TestDecodeErrors(t *testing.T) {
 		{"bad budget", rawReq(t, "budget=much", "x")},
 		{"bad deadline", rawReq(t, "deadline_ms=soon", "x")},
 		{"bad provenance", rawReq(t, "provenance=maybe", "x")},
-		{"bad workers", rawReq(t, "workers=all", "x")},
+		{"workers json", jsonReq(t, `{"source":"x","job":{"spec":"insens","workers":2}}`)},
+		{"workers raw", rawReq(t, "spec=insens&workers=2", "x")},
+		{"workers GET", getReq(t, "source=x&spec=insens&workers=2")},
 		{"bad stream", rawReq(t, "stream=sure", "x")},
 		{"bad GET stream", getReq(t, "source=x&stream=sure")},
 	} {

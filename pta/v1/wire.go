@@ -252,11 +252,9 @@ type SpecInfo struct {
 // (sorted, with capabilities) and the introspective variant suffixes
 // that can be appended to context-sensitive ones.
 type SpecsDoc struct {
-	Schema string `json:"schema"`
-	// MaxWorkers bounds every job's intra-solve workers knob.
-	MaxWorkers int        `json:"max_workers"`
-	Specs      []SpecInfo `json:"specs"`
-	Variants   []string   `json:"variants"`
+	Schema   string     `json:"schema"`
+	Specs    []SpecInfo `json:"specs"`
+	Variants []string   `json:"variants"`
 }
 
 // FlightInfo is one in-flight request as reported by GET /v1/flights:

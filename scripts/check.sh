@@ -22,6 +22,10 @@ if command -v govulncheck >/dev/null 2>&1; then
 fi
 go build ./...
 go test ./...
+# perfbench/ is a module of its own, so the ./... patterns above skip
+# it; vet and test it here so an API change that breaks the benchmark
+# fails the gate, not only the bench pipeline.
+(cd perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
 go test -race ./internal/analysis ./internal/pta ./internal/cutshortcut ./internal/checkers ./internal/service ./internal/obs
 
 # Trace-export smoke test (same commands as `make trace-smoke`): solve
