@@ -129,11 +129,14 @@ func BenchmarkFig7(b *testing.B) { benchFig(b, "2callH") }
 
 // BenchmarkProvenance measures the solver cost of derivation-witness
 // recording (pta.Options.Provenance) on the largest suite benchmark:
-// "off" is the default figure configuration (the recorder reduces to
-// one nil check per derived fact), "on" pays for element-wise
-// propagation plus the witness table. scripts/bench.sh records both, so
-// a regression in the disabled path shows up as Provenance/off drifting
-// from the Fig benchmarks' historical work-per-nanosecond.
+// "off" is the default figure configuration (the recorder reduces to a
+// nil check per edge push and per word of new bits), "on" adds the
+// recorder's stamps on the same word-level propagation path. Both
+// report the same work; "witnessed" counts the facts with a recorded
+// source (0 when off). scripts/bench.sh records both and fails if the
+// work differs or "on" witnessed nothing, and a regression in the
+// disabled path shows up as Provenance/off drifting from the Fig
+// benchmarks' historical work-per-nanosecond.
 func BenchmarkProvenance(b *testing.B) {
 	prog, err := suite.Load("jython")
 	if err != nil {

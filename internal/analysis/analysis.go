@@ -89,8 +89,10 @@ type Request struct {
 	// Provenance enables the solver's derivation-witness recorder on
 	// every pass (pta.Options.Provenance): each pass's Result can then
 	// reconstruct alloc-to-use witness paths via Explain/ExplainHeap,
-	// which internal/checkers attaches to diagnostics. Costs extra
-	// solver time and memory; leave off for pure figure runs.
+	// which internal/checkers attaches to diagnostics. Propagation takes
+	// the same word-level path either way; recording adds one stamp per
+	// word of new bits an edge push produces, so figure runs leave it
+	// off.
 	Provenance bool
 	// Observer receives stage lifecycle, progress, and solver-snapshot
 	// callbacks; nil means NopObserver. See Observer for the

@@ -54,33 +54,23 @@ func BenchmarkAddHighIDs(b *testing.B) {
 	}
 }
 
-// benchUnion compares the per-element primitive (UnionInto, which
-// materializes the delta as []int32) against the word-parallel kernel
-// (UnionWordsInto, which keeps the delta as a set) on the same data.
-func benchUnion(b *testing.B, n int, lo, span int32, words bool) {
+// benchUnion times the union kernel into a fresh set, twice: the
+// second call is the all-duplicate fast path.
+func benchUnion(b *testing.B, n int, lo, span int32) {
 	b.Helper()
 	r := rand.New(rand.NewSource(3))
 	src := randSet(r, n, lo, span)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var dst, delta Set
-		var buf []int32
-		if words {
-			dst.UnionWordsInto(src, &delta)
-			dst.UnionWordsInto(src, &delta) // second call: all-duplicate fast path
-		} else {
-			buf = dst.UnionInto(src, buf[:0])
-			buf = dst.UnionInto(src, buf[:0])
-		}
+		dst.UnionWords(src, nil, nil, &delta, nil)
+		dst.UnionWords(src, nil, nil, &delta, nil)
 	}
 }
 
-func BenchmarkUnionIntoDense(b *testing.B)    { benchUnion(b, 4096, 0, 1<<14, false) }
-func BenchmarkUnionWordsDense(b *testing.B)   { benchUnion(b, 4096, 0, 1<<14, true) }
-func BenchmarkUnionIntoHighIDs(b *testing.B)  { benchUnion(b, 4096, 150_000, 1<<14, false) }
-func BenchmarkUnionWordsHighIDs(b *testing.B) { benchUnion(b, 4096, 150_000, 1<<14, true) }
-func BenchmarkUnionIntoSparse(b *testing.B)   { benchUnion(b, 128, 0, 1<<18, false) }
-func BenchmarkUnionWordsSparse(b *testing.B)  { benchUnion(b, 128, 0, 1<<18, true) }
+func BenchmarkUnionWordsDense(b *testing.B)   { benchUnion(b, 4096, 0, 1<<14) }
+func BenchmarkUnionWordsHighIDs(b *testing.B) { benchUnion(b, 4096, 150_000, 1<<14) }
+func BenchmarkUnionWordsSparse(b *testing.B)  { benchUnion(b, 128, 0, 1<<18) }
 
 // BenchmarkUnionWordsMasked exercises the filtered kernel the solver
 // uses for type-filtered load/store propagation: src minus skip,
@@ -93,7 +83,7 @@ func BenchmarkUnionWordsMasked(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var dst, delta Set
-		dst.UnionWordsDiffMaskedInto(src, skip, mask, &delta)
+		dst.UnionWords(src, skip, mask, &delta, nil)
 	}
 }
 

@@ -48,20 +48,6 @@ func (s *Set) Has(x int32) bool {
 	return s.words[w]&(uint64(1)<<(uint(x)%wordBits)) != 0
 }
 
-// Remove deletes x and reports whether the set changed.
-func (s *Set) Remove(x int32) bool {
-	w := int(x)/wordBits - s.off
-	if w < 0 || w >= len(s.words) {
-		return false
-	}
-	mask := uint64(1) << (uint(x) % wordBits)
-	if s.words[w]&mask == 0 {
-		return false
-	}
-	s.words[w] &^= mask
-	return true
-}
-
 // Len returns the number of elements in the set.
 func (s *Set) Len() int {
 	n := 0
@@ -91,40 +77,19 @@ func (s *Set) Clear() {
 	s.off = 0
 }
 
-// UnionInto adds every element of src to s and appends each newly added
-// element to delta. It returns the extended delta slice. This is the
-// per-element form of the solver's difference-propagation primitive.
-func (s *Set) UnionInto(src *Set, delta []int32) []int32 {
-	n := len(src.words)
-	if n == 0 {
-		return delta
-	}
-	s.reserve(src.off, src.off+n)
-	so := src.off - s.off
-	for i, sw := range src.words {
-		diff := sw &^ s.words[i+so]
-		if diff == 0 {
-			continue
-		}
-		s.words[i+so] |= diff
-		base := int32((i + src.off) * wordBits)
-		for diff != 0 {
-			b := bits.TrailingZeros64(diff)
-			delta = append(delta, base+int32(b))
-			diff &^= 1 << uint(b)
-		}
-	}
-	return delta
-}
-
-// unionWords is the word-parallel union kernel behind the UnionWords*
-// family: it ORs the elements of src — minus the elements of skip,
-// intersected with mask, when those are non-nil — into s, ORs the bits
-// that were actually new to s into delta, and returns the number of new
-// bits plus the number of candidate elements scanned (src minus skip,
-// before the mask is applied — the count a per-element propagation loop
-// would have touched, which the solver charges its work budget for).
-func (s *Set) unionWords(src, skip, mask, delta *Set) (added, scanned int) {
+// UnionWords is the solver's word-parallel difference-propagation
+// kernel. It ORs into s the elements of src that are not in skip and
+// are in mask, a whole word at a time, and ORs the bits that were new
+// to s into delta. A nil skip removes nothing and a nil mask passes
+// everything. It returns the number of new bits and the number of
+// candidate elements scanned: src minus skip, before the mask is
+// applied. That is the count a per-element propagation loop would
+// have touched, which the solver charges its work budget for.
+//
+// If fresh is non-nil, it is called once for each word that gained
+// bits, in ascending word order, with the word's first element and the
+// bits new to s. fresh must not modify s or delta.
+func (s *Set) UnionWords(src, skip, mask, delta *Set, fresh func(base int32, diff uint64)) (added, scanned int) {
 	n := len(src.words)
 	if n == 0 {
 		return 0, 0
@@ -159,51 +124,11 @@ func (s *Set) unionWords(src, skip, mask, delta *Set) (added, scanned int) {
 		sw[i+so] |= diff
 		dw[i+do] |= diff
 		added += bits.OnesCount64(diff)
+		if fresh != nil {
+			fresh(int32((i+src.off)*wordBits), diff)
+		}
 	}
 	return added, scanned
-}
-
-// UnionWordsInto ORs every element of src into s a whole word at a
-// time, records the elements that were new to s in delta, and returns
-// how many there were. It is the batched form of calling Add for each
-// element of src while appending the successful ones to a delta set —
-// the solver's word-parallel difference-propagation primitive.
-func (s *Set) UnionWordsInto(src, delta *Set) (added int) {
-	added, _ = s.unionWords(src, nil, nil, delta)
-	return added
-}
-
-// UnionWordsMaskedInto is UnionWordsInto restricted to the elements of
-// src that are also in mask (the solver's cached filter verdicts).
-func (s *Set) UnionWordsMaskedInto(src, mask, delta *Set) (added int) {
-	added, _ = s.unionWords(src, nil, mask, delta)
-	return added
-}
-
-// UnionWordsDiffInto is UnionWordsInto restricted to the elements of
-// src that are NOT in skip. It returns the new-element count and the
-// number of src-minus-skip elements scanned.
-func (s *Set) UnionWordsDiffInto(src, skip, delta *Set) (added, scanned int) {
-	return s.unionWords(src, skip, nil, delta)
-}
-
-// UnionWordsDiffMaskedInto combines UnionWordsDiffInto and
-// UnionWordsMaskedInto: elements of src minus skip, intersected with
-// mask. scanned counts src-minus-skip elements before the mask.
-func (s *Set) UnionWordsDiffMaskedInto(src, skip, mask, delta *Set) (added, scanned int) {
-	return s.unionWords(src, skip, mask, delta)
-}
-
-// DiffLen returns the number of elements of s that are not in o.
-func (s *Set) DiffLen(o *Set) int {
-	n := 0
-	for i, w := range s.words {
-		if j := i + s.off - o.off; j >= 0 && j < len(o.words) {
-			w &^= o.words[j]
-		}
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // ForEachDiff calls fn for each element of s that is not in o, in
@@ -225,24 +150,6 @@ func (s *Set) ForEachDiff(o *Set, fn func(int32)) {
 	}
 }
 
-// Union adds every element of src to s and reports whether s changed.
-func (s *Set) Union(src *Set) bool {
-	n := len(src.words)
-	if n == 0 {
-		return false
-	}
-	s.reserve(src.off, src.off+n)
-	so := src.off - s.off
-	changed := false
-	for i, sw := range src.words {
-		if sw&^s.words[i+so] != 0 {
-			s.words[i+so] |= sw
-			changed = true
-		}
-	}
-	return changed
-}
-
 // ForEach calls fn for each element in ascending order.
 func (s *Set) ForEach(fn func(int32)) {
 	for i, w := range s.words {
@@ -260,13 +167,6 @@ func (s *Set) Elems() []int32 {
 	out := make([]int32, 0, s.Len())
 	s.ForEach(func(x int32) { out = append(out, x) })
 	return out
-}
-
-// Clone returns an independent copy of the set.
-func (s *Set) Clone() *Set {
-	c := &Set{off: s.off, words: make([]uint64, len(s.words))}
-	copy(c.words, s.words)
-	return c
 }
 
 // Equal reports whether s and o contain the same elements. Words

@@ -1,8 +1,9 @@
 package bits
 
 import (
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -20,12 +21,6 @@ func TestBasicOps(t *testing.T) {
 	}
 	if s.Len() != 1 {
 		t.Error("Len wrong")
-	}
-	if !s.Remove(5) || s.Remove(5) {
-		t.Error("Remove should report change exactly once")
-	}
-	if s.Has(5) {
-		t.Error("Remove did not remove")
 	}
 }
 
@@ -46,59 +41,35 @@ func TestAddLargeValues(t *testing.T) {
 	}
 }
 
-func TestUnionInto(t *testing.T) {
-	var a, b Set
-	a.Add(1)
-	a.Add(2)
-	b.Add(2)
-	b.Add(3)
-	b.Add(100)
-	delta := a.UnionInto(&b, nil)
-	sort.Slice(delta, func(i, j int) bool { return delta[i] < delta[j] })
-	if len(delta) != 2 || delta[0] != 3 || delta[1] != 100 {
-		t.Errorf("delta = %v, want [3 100]", delta)
-	}
-	if a.Len() != 4 {
-		t.Errorf("a.Len = %d, want 4", a.Len())
-	}
-	// Second union adds nothing.
-	if d := a.UnionInto(&b, nil); len(d) != 0 {
-		t.Errorf("second UnionInto delta = %v, want empty", d)
-	}
-}
-
-func TestUnion(t *testing.T) {
-	var a, b Set
-	b.Add(7)
-	if !a.Union(&b) || a.Union(&b) {
-		t.Error("Union change reporting wrong")
-	}
-	if !a.Has(7) {
-		t.Error("Union did not add")
-	}
-}
-
 func TestCloneAndEqual(t *testing.T) {
-	var a Set
+	var a, b Set
 	for i := int32(0); i < 200; i += 3 {
 		a.Add(i)
 	}
-	c := a.Clone()
-	if !a.Equal(c) {
-		t.Error("clone not equal")
+	for i := int32(198); i >= 0; i -= 3 {
+		b.Add(i)
 	}
-	c.Add(1)
-	if a.Equal(c) {
-		t.Error("mutated clone still equal")
+	if !a.Equal(&b) {
+		t.Error("same elements added in opposite orders not equal")
 	}
-	// Equal with different word lengths.
-	var small, big Set
-	small.Add(1)
-	big.Add(1)
-	big.Add(1000)
-	big.Remove(1000)
+	b.Add(1)
+	if a.Equal(&b) {
+		t.Error("sets differing in one element still equal")
+	}
+	// Equal with different offsets and word lengths: trailing and
+	// leading zero words are not elements.
+	small := Set{words: []uint64{2}}
+	big := Set{words: []uint64{2, 0, 0, 0}}
+	shifted := Set{off: 3, words: []uint64{0, 0}}
+	var empty Set
 	if !small.Equal(&big) || !big.Equal(&small) {
 		t.Error("Equal should ignore trailing zero words")
+	}
+	if !shifted.Equal(&empty) || !empty.Equal(&shifted) {
+		t.Error("Equal should treat an all-zero array as empty")
+	}
+	if small.Equal(&shifted) || shifted.Equal(&small) {
+		t.Error("non-empty set equal to an empty one")
 	}
 }
 
@@ -123,7 +94,7 @@ func TestQuickAgainstMap(t *testing.T) {
 		model := map[int32]bool{}
 		for _, op := range ops {
 			v := int32(op % 1024)
-			switch (op / 1024) % 3 {
+			switch (op / 1024) % 2 {
 			case 0:
 				changed := s.Add(v)
 				if changed == model[v] {
@@ -131,12 +102,6 @@ func TestQuickAgainstMap(t *testing.T) {
 				}
 				model[v] = true
 			case 1:
-				changed := s.Remove(v)
-				if changed != model[v] {
-					return false
-				}
-				delete(model, v)
-			case 2:
 				if s.Has(v) != model[v] {
 					return false
 				}
@@ -163,40 +128,108 @@ func TestQuickAgainstMap(t *testing.T) {
 	}
 }
 
-// TestQuickUnionInto property-tests that UnionInto's delta is exactly
-// the set difference and the result is the union.
-func TestQuickUnionInto(t *testing.T) {
-	f := func(xs, ys []uint16) bool {
-		var a, b Set
-		am := map[int32]bool{}
-		bm := map[int32]bool{}
-		for _, x := range xs {
-			a.Add(int32(x))
-			am[int32(x)] = true
-		}
-		for _, y := range ys {
-			b.Add(int32(y))
-			bm[int32(y)] = true
-		}
-		delta := a.UnionInto(&b, nil)
-		seen := map[int32]bool{}
-		for _, d := range delta {
-			if am[d] || !bm[d] || seen[d] {
-				return false // delta must be b-minus-a, without dups
+// TestQuickUnionWords property-tests the union kernel against a map
+// model. Each operand is drawn from its own window of ids, so the sets
+// have different offsets; skip and mask may be nil, and any set may be
+// empty. The kernel must report the model's added and scanned counts,
+// leave s as s ∪ ((src − skip) ∩ mask), add exactly the bits new to s
+// to delta, and hand those same bits to fresh as non-zero words in
+// ascending word order.
+func TestQuickUnionWords(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		// gen draws an operand's elements: nil (when allowed), none, or
+		// up to 150 ids from a random window, in random order.
+		gen := func(nilOK bool) []int32 {
+			switch k := r.Intn(5); {
+			case k == 0 && nilOK:
+				return nil
+			case k <= 1:
+				return []int32{}
 			}
-			seen[d] = true
+			base, span := r.Int31n(2000), 1+r.Int31n(1500)
+			xs := make([]int32, r.Intn(150))
+			for i := range xs {
+				xs[i] = base + r.Int31n(span)
+			}
+			return xs
 		}
-		for v := range bm {
-			if !am[v] && !seen[v] {
-				return false // every new element must be reported
+		build := func(xs []int32) *Set {
+			if xs == nil {
+				return nil
 			}
-			if !a.Has(v) {
-				return false // union must contain b
+			s := &Set{}
+			for _, x := range xs {
+				s.Add(x)
 			}
+			return s
+		}
+		model := func(xs ...[]int32) map[int32]bool {
+			m := map[int32]bool{}
+			for _, x := range slices.Concat(xs...) {
+				m[x] = true
+			}
+			return m
+		}
+		keys := func(m map[int32]bool) []int32 {
+			xs := make([]int32, 0, len(m))
+			for x := range m {
+				xs = append(xs, x)
+			}
+			slices.Sort(xs)
+			return xs
+		}
+		sx, srcx, skipx, maskx, deltax := gen(false), gen(false), gen(true), gen(true), gen(false)
+
+		sM, skipM, maskM := model(sx), model(skipx), model(maskx)
+		scanned, fresh := 0, map[int32]bool{}
+		for x := range model(srcx) {
+			if skipM[x] {
+				continue
+			}
+			scanned++
+			if (maskx == nil || maskM[x]) && !sM[x] {
+				fresh[x] = true
+			}
+		}
+		newBits := keys(fresh)
+		wantS, wantDelta := keys(model(sx, newBits)), keys(model(deltax, newBits))
+
+		for _, withFresh := range []bool{false, true} {
+			s, delta := build(sx), build(deltax)
+			var hook func(int32, uint64)
+			var got []int32
+			ordered := true
+			if withFresh {
+				last := int32(-1)
+				hook = func(base int32, diff uint64) {
+					if diff == 0 || base%64 != 0 || base <= last {
+						ordered = false
+					}
+					last = base
+					for ; diff != 0; diff &= diff - 1 {
+						got = append(got, base+int32(bits.TrailingZeros64(diff)))
+					}
+				}
+			}
+			added, sc := s.UnionWords(build(srcx), build(skipx), build(maskx), delta, hook)
+			switch {
+			case added != len(newBits) || sc != scanned:
+				t.Logf("seed %d: added, scanned = %d, %d; want %d, %d", seed, added, sc, len(newBits), scanned)
+			case !slices.Equal(s.Elems(), wantS):
+				t.Logf("seed %d: s = %v, want %v", seed, s.Elems(), wantS)
+			case !slices.Equal(delta.Elems(), wantDelta):
+				t.Logf("seed %d: delta = %v, want %v", seed, delta.Elems(), wantDelta)
+			case withFresh && (!ordered || !slices.Equal(got, newBits)):
+				t.Logf("seed %d: fresh saw %v (ordered %v), want %v", seed, got, ordered, newBits)
+			default:
+				continue
+			}
+			return false
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
@@ -206,19 +239,5 @@ func BenchmarkAdd(b *testing.B) {
 	var s Set
 	for i := 0; i < b.N; i++ {
 		s.Add(int32(r.Intn(1 << 16)))
-	}
-}
-
-func BenchmarkUnionInto(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	var src Set
-	for i := 0; i < 4096; i++ {
-		src.Add(int32(r.Intn(1 << 16)))
-	}
-	b.ResetTimer()
-	var delta []int32
-	for i := 0; i < b.N; i++ {
-		var dst Set
-		delta = dst.UnionInto(&src, delta[:0])
 	}
 }

@@ -1,6 +1,7 @@
 package pta
 
 import (
+	mathbits "math/bits"
 	"strings"
 
 	"introspect/internal/ir"
@@ -11,8 +12,8 @@ import (
 //
 // When Options.Provenance is set, the solver records, for every
 // points-to fact (node, hc) it establishes, the constraint-graph node
-// the fact first arrived from — one int32 per fact. Because a fact is
-// derived exactly once (Set.Add reports the first insertion) and the
+// the fact first arrived from. Because a fact is derived exactly once
+// (the union kernel reports only bits new to the target set) and the
 // source fact necessarily exists before it propagates, the recorded
 // "first derivation" edges form a DAG: walking them back from any fact
 // terminates at the node where the object was introduced (the
@@ -23,50 +24,67 @@ import (
 //
 // which clients (internal/checkers) attach to diagnostics as a witness.
 //
-// Recording costs one hash-table insert per derived fact and forces the
-// solver onto its element-wise propagation paths (the word-parallel
-// kernels cannot say which source element produced which new bit), so
-// it is strictly opt-in; with the flag off the only cost is a nil check
-// on the fact-insertion path.
+// Recording rides on the word-parallel kernels. Every bit new to the
+// target in one edge push has the same source node, so the recorder
+// appends one stamp per word of new bits the kernel reports, not one
+// entry per fact. A fact's source is found by scanning its node's
+// stamps, which only witness reconstruction does, after the solve.
+// With the flag off the cost is a nil check per edge push and per word
+// of new bits.
 
 // provIntro is the recorded source of a fact introduced directly —
-// by an Alloc instruction or by the this-binding of a dispatch — rather
-// than propagated across a constraint edge.
+// by an Alloc instruction, the this-binding of a dispatch or a
+// returned-receiver shortcut — rather than propagated across a
+// constraint edge.
 const provIntro int32 = -1
 
-// provRecorder maps packed (node, hc) fact keys to the node the fact
-// first arrived from (provIntro for introduction points). Values are
-// indices into srcs because internTable requires non-negative values.
+// provStamp records that the bits set in one 64-element word of a
+// node's points-to set (elements word*64 … word*64+63) were first
+// derived from node from.
+type provStamp struct {
+	bits uint64
+	word int32
+	from int32
+}
+
+// provRecorder keeps each node's stamps in derivation order. Every fact
+// is covered by exactly one stamp of its node.
 type provRecorder struct {
-	tab  internTable
-	srcs []int32
+	stamps [][]provStamp // indexed by node id; grown on demand
+	facts  int           // total bits over all stamps
 }
 
-func provKey(n, hc int32) uint64 {
-	return uint64(uint32(n))<<32 | uint64(uint32(hc))
-}
-
-// record notes that fact (n, hc) was first derived from node `from`
-// (provIntro if introduced). Callers only invoke it when the fact is
-// new, so the key is never already present.
-func (p *provRecorder) record(n, hc, from int32) {
-	p.tab.put(provKey(n, hc), int32(len(p.srcs)))
-	p.srcs = append(p.srcs, from)
+// stamp records that the diff bits of the word starting at element base
+// are new to node dst and came from node from. A word that extends
+// dst's last stamp (same word, same source) is folded into it.
+func (p *provRecorder) stamp(dst, from, base int32, diff uint64) {
+	if n := int(dst) + 1; n > len(p.stamps) {
+		p.stamps = append(p.stamps, make([][]provStamp, n-len(p.stamps))...)
+	}
+	p.facts += mathbits.OnesCount64(diff)
+	ss, word := p.stamps[dst], base/64
+	if k := len(ss) - 1; k >= 0 && ss[k].word == word && ss[k].from == from {
+		ss[k].bits |= diff
+		return
+	}
+	p.stamps[dst] = append(ss, provStamp{bits: diff, word: word, from: from})
 }
 
 // source returns the first-deriving source node of fact (n, hc):
 // provIntro for introduction points, ok=false if the fact was never
 // recorded.
 func (p *provRecorder) source(n, hc int32) (int32, bool) {
-	i, ok := p.tab.get(provKey(n, hc))
-	if !ok {
+	if int(n) >= len(p.stamps) {
 		return 0, false
 	}
-	return p.srcs[i], true
+	word, bit := hc/64, uint64(1)<<uint(hc%64)
+	for _, st := range p.stamps[n] {
+		if st.word == word && st.bits&bit != 0 {
+			return st.from, true
+		}
+	}
+	return 0, false
 }
-
-// len returns the number of recorded facts.
-func (p *provRecorder) len() int { return len(p.srcs) }
 
 // --- post-solve reconstruction ---
 
@@ -82,7 +100,7 @@ func (r *Result) NumProvenanceFacts() int {
 	if r.s.prov == nil {
 		return 0
 	}
-	return r.s.prov.len()
+	return r.s.prov.facts
 }
 
 // WitnessStepKind classifies one step of a derivation witness.

@@ -137,7 +137,8 @@ func TestBatchRejections(t *testing.T) {
 }
 
 // TestBatchHTTP drives POST /v1/batch end to end: the JSON wire shape,
-// the single error envelope, and unknown-field rejection.
+// the single error envelope, and rejection of unknown fields and of
+// data after the document.
 func TestBatchHTTP(t *testing.T) {
 	svc := service.MustNew(service.Config{Workers: 2})
 	srv := httptest.NewServer(svc.Handler())
@@ -192,6 +193,21 @@ func TestBatchHTTP(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", resp3.StatusCode)
+	}
+
+	// So is anything after the batch document: a second document or
+	// trailing bytes once solved the first document and answered 200.
+	for _, tail := range []string{` {"jobs":[{"spec":"2objH"}]}`, "garbage"} {
+		resp, err := http.Post(srv.URL+"/v1/batch", "application/json", bytes.NewReader(append(body[:len(body):len(body)], tail...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var env ptav1.ErrorBody
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(b, &env) != nil || env.Code != ptav1.CodeBadRequest {
+			t.Errorf("batch followed by %q: status %d, body %s; want a 400 bad_request envelope", tail, resp.StatusCode, b)
+		}
 	}
 
 	// So is a per-job workers field.

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"strings"
 
@@ -134,11 +133,9 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, s.maxBody()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if serr := ptav1.DecodeJSON(r.Body, s.maxBody(), &req, "batch"); serr != nil {
 		s.metrics.add(&s.metrics.rejectedInvalid)
-		writeError(w, errf(CodeBadRequest, "decoding batch: %v", err))
+		writeError(w, serr)
 		return
 	}
 	if peer, ok := s.routePeer(r, req.Lang, req.Name, req.Source); ok {

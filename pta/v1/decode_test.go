@@ -160,8 +160,9 @@ func TestDecodeStreamParam(t *testing.T) {
 }
 
 // TestDecodeErrors: malformed parameters and bodies are CodeBadRequest,
-// never a panic or a silent zero. The retired workers knob is refused
-// on all three encodings alike.
+// never a panic or a silent zero. A JSON body holds exactly one
+// document: a second one or trailing bytes are refused, not ignored.
+// The retired workers knob is refused on all three encodings alike.
 func TestDecodeErrors(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -169,6 +170,9 @@ func TestDecodeErrors(t *testing.T) {
 	}{
 		{"bad json", jsonReq(t, `{"source":`)},
 		{"unknown field", jsonReq(t, `{"sauce":"x"}`)},
+		{"second document", jsonReq(t, `{"source":"x","job":{"spec":"insens"}} {"job":{"spec":"2objH"}}`)},
+		{"trailing garbage", jsonReq(t, `{"source":"x","job":{"spec":"insens"}}garbage`)},
+		{"trailing brace", jsonReq(t, `{"source":"x"}}`)},
 		{"bad budget", rawReq(t, "budget=much", "x")},
 		{"bad deadline", rawReq(t, "deadline_ms=soon", "x")},
 		{"bad provenance", rawReq(t, "provenance=maybe", "x")},
@@ -186,6 +190,11 @@ func TestDecodeErrors(t *testing.T) {
 		if serr.Code != ptav1.CodeBadRequest {
 			t.Errorf("%s: code = %q, want bad_request", c.name, serr.Code)
 		}
+	}
+
+	// Trailing whitespace is not data.
+	if _, serr := ptav1.DecodeAnalyze(jsonReq(t, "{\"source\":\"x\"}\n \t\n"), 1<<20); serr != nil {
+		t.Errorf("trailing whitespace: %v", serr)
 	}
 }
 

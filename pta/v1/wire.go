@@ -148,7 +148,9 @@ type AnalyzeRequest struct {
 	// queueing included: 0 means the service default; values above the
 	// service maximum are clamped.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Provenance enables derivation-witness recording (slower).
+	// Provenance enables derivation-witness recording, which
+	// diagnostics need for their witness paths. It costs some extra
+	// solve time and memory and never changes the result.
 	Provenance bool `json:"provenance,omitempty"`
 	// Stream upgrades the response to a chunked NDJSON event stream
 	// (StreamEvent per line): progress snapshots while the solve runs,

@@ -11,9 +11,12 @@
 # comparable across commits.
 #
 # The Provenance/off and Provenance/on pair additionally records the
-# derivation-witness recorder's solver overhead; the gate is that
-# Provenance/off stays within noise of historical Fig runs (the
-# disabled recorder costs one nil check per derived fact).
+# derivation-witness recorder's solver overhead. Both propagate through
+# the same word-level kernels, so the deterministic gate is that they
+# report the same work and that "on" witnesses a non-zero number of
+# facts; Provenance/off should also stay within noise of historical Fig
+# runs (the disabled recorder costs a nil check per edge push and per
+# word of new bits).
 #
 # The CutShortcut/{insens,cs,2objH} trio records the cut-shortcut
 # analysis's cost against its two reference points over all nine
@@ -53,6 +56,32 @@ fi
 go test -bench='Fig|Provenance|CutShortcut|Taint' -benchtime=1x -count="$count" -run '^$' . | tee "$raw"
 
 if [ "${BENCH_GATE:-on}" != "off" ]; then
+    awk '
+    /^BenchmarkProvenance\/(on|off)([-\t ]|$)/ {
+        mode = ($1 ~ /^BenchmarkProvenance\/on/) ? "on" : "off"
+        seen[mode] = 1
+        w = ""; wit = ""
+        for (i = 3; i < NF; i += 2) {
+            if ($(i+1) == "work") w = $i
+            if ($(i+1) == "witnessed") wit = $i
+        }
+        if (ref == "") ref = w
+        if (w != ref) {
+            printf "bench gate: FAIL: Provenance/%s work %s differs from %s\n", mode, w, ref; bad = 1
+        }
+        if (mode == "on" && wit + 0 == 0) {
+            print "bench gate: FAIL: Provenance/on witnessed no facts"; bad = 1
+        }
+        if (mode == "on") witnessed = wit
+    }
+    END {
+        if (!seen["on"] || !seen["off"]) {
+            print "bench gate: FAIL: Provenance/on or Provenance/off rows missing from output"; exit 1
+        }
+        if (bad) exit 1
+        printf "bench gate: OK: provenance on/off work identical (%s), %s facts witnessed\n", ref, witnessed
+    }' "$raw"
+
     awk -v prev_work="$prev_work" '
     /^BenchmarkFig5(Traced)?([-\t ]|$)/ {
         name = $1
