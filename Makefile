@@ -2,9 +2,11 @@ GO ?= go
 
 .PHONY: check vet build test race bench figures serve trace-smoke
 
-# check is what CI runs: vet, build, full tests, race-enabled
-# solver/pipeline tests, and the trace-export smoke test.
-check: vet build test race trace-smoke
+# check is the gate CI runs, scripts/check.sh: vet, build, full tests
+# (perfbench's too), race-enabled tests, the trace-export smoke and the
+# daemon smokes. The targets below run single steps of it.
+check:
+	scripts/check.sh
 
 # introvet is the repo's own determinism linter (see cmd/introvet):
 # mandatory, stdlib-only, so it runs everywhere go does. staticcheck,

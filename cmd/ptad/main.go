@@ -9,7 +9,6 @@
 //
 //	ptad [-addr 127.0.0.1:8372] [-workers N] [-queue N] [-cache N]
 //	     [-cache-dir DIR] [-disk-entries N]
-//	     [-peers URL,URL,...] [-self URL]
 //	     [-deadline 30s] [-max-deadline 5m] [-budget N]
 //	     [-snap-every N] [-debug-addr 127.0.0.1:0]
 //
@@ -30,23 +29,13 @@
 // re-solve. Corrupt or truncated store files are detected by checksum
 // and quietly discarded.
 //
-// With -peers (a comma-separated list of base URLs that must include
-// -self, or the first peer if -self is unset), the daemons shard the
-// program space by consistent hashing: a request for a program owned by
-// another node is forwarded there, so each program's cache lives on
-// exactly one node. Forwarding is one hop (a forwarded request is
-// always served locally) and degrades gracefully — if the owner is
-// unreachable the request is solved locally instead.
-//
 // Every /v1/* request is correlated: the daemon echoes (or mints) an
-// X-Ptad-Request-Id header, carries it across peer forwards, and logs
-// one JSON access line per request to stderr — request ID, node,
-// status, latency, cache disposition, queue wait, and the peer hop if
-// the request was forwarded. Requests with trace=1 return a
-// Perfetto-loadable trace on the response; a forwarded trace=1
-// request comes back stitched across both nodes. decisions=1 attaches
-// the introspection decision audit (which sites HeuristicA/B refined
-// or demoted, and why).
+// X-Ptad-Request-Id header and logs one JSON access line per request
+// to stderr — request ID, node, status, latency, cache disposition
+// and queue wait. Requests with trace=1 return a Perfetto-loadable
+// trace on the response whose trace ID is that same request ID.
+// decisions=1 attaches the introspection decision audit (which sites
+// HeuristicA/B refined or demoted, and why).
 //
 // With -debug-addr, a second listener serves the operator-only debug
 // surface: net/http/pprof under /debug/pprof/ and the daemon's
@@ -87,7 +76,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"introspect/internal/obs"
@@ -108,8 +96,6 @@ func run() error {
 	cache := flag.Int("cache", 256, "result cache entries")
 	cacheDir := flag.String("cache-dir", "", "if set, persist results to this directory (durable across restarts)")
 	diskEntries := flag.Int("disk-entries", 0, "durable store entry cap (0 = default, <0 = disable)")
-	peers := flag.String("peers", "", "comma-separated base URLs of all cluster nodes (enables peer sharding)")
-	self := flag.String("self", "", "this node's base URL as it appears in -peers (default: first peer)")
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 	maxDeadline := flag.Duration("max-deadline", 5*time.Minute, "maximum per-request deadline")
 	budget := flag.Int64("budget", 0, "default per-pass work budget (0 = solver default, <0 = unlimited)")
@@ -125,25 +111,12 @@ func run() error {
 		tracer = obs.NewTracer(*traceRing)
 	}
 
-	var peerList []string
-	for _, p := range strings.Split(*peers, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peerList = append(peerList, p)
-		}
-	}
-	selfURL := *self
-	if selfURL == "" && len(peerList) > 0 {
-		selfURL = peerList[0]
-	}
-
 	svc, err := service.New(service.Config{
 		Workers:         *workers,
 		QueueDepth:      *queue,
 		CacheEntries:    *cache,
 		CacheDir:        *cacheDir,
 		DiskEntries:     *diskEntries,
-		Peers:           peerList,
-		Self:            selfURL,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
 		DefaultBudget:   *budget,

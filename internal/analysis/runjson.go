@@ -42,10 +42,9 @@ type RunJSON struct {
 	// heuristic, in deterministic clause-then-element order. Omitted
 	// when auditing is off or the pipeline has no selection stage.
 	Decisions []introspect.Decision `json:"decisions,omitempty"`
-	// Trace, set by services on request (?trace=1), is the run's
-	// Chrome trace-event document — for forwarded requests, the
-	// stitched multi-process trace covering both hops. Omitted
-	// otherwise; never part of the cached document.
+	// Trace, set by services on request (?trace=1), is the Chrome
+	// trace-event document of the request that returned this run.
+	// Omitted otherwise; never part of the cached document.
 	Trace *obs.ChromeDoc `json:"trace,omitempty"`
 }
 

@@ -2,6 +2,7 @@ package dlpta
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"introspect/internal/ir"
 	"introspect/internal/lang"
 	"introspect/internal/pta"
+	"introspect/internal/randprog"
 )
 
 // The tests in this file are the reproduction's differential check:
@@ -188,22 +190,42 @@ func TestEquivalenceChains(t *testing.T) {
 	}
 }
 
+// tinyHeuristics are tiny-threshold heuristics: they exclude plenty of
+// elements, giving the refined rules real work.
+var tinyHeuristics = map[string]introspect.Heuristic{
+	"tinyA": introspect.HeuristicA{K: 1, L: 1, M: 1},
+	"tinyB": introspect.HeuristicB{P: 3, Q: 2},
+}
+
 // TestEquivalenceIntrospective checks the refined-constructor rules:
 // both implementations must agree when refinement-exclusion sets are
 // in play.
 func TestEquivalenceIntrospective(t *testing.T) {
 	prog := lang.MustCompile("kennel", kennelSrc)
-
-	// A tiny-threshold heuristic excludes plenty of elements, giving
-	// the refined rules real work.
-	heuristics := map[string]introspect.Heuristic{
-		"tinyA": introspect.HeuristicA{K: 1, L: 1, M: 1},
-		"tinyB": introspect.HeuristicB{P: 3, Q: 2},
-	}
-	for name, h := range heuristics {
+	for name, h := range tinyHeuristics {
 		for _, spec := range []string{"2objH", "2callH"} {
 			t.Run(name+"/"+spec, func(t *testing.T) { compare(t, prog, spec, h) })
 		}
+	}
+}
+
+// TestEquivalenceRandprog runs the differential check on random
+// programs: randprog seeds 1–40 under each context abstraction, and
+// under the tiny heuristics for the deep object-, call- and
+// type-sensitive specs.
+func TestEquivalenceRandprog(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		prog := randprog.Generate(seed, randprog.Default())
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			for _, spec := range []string{"insens", "1call", "2callH", "1obj", "2objH", "2typeH", "2hybH"} {
+				t.Run(spec, func(t *testing.T) { compare(t, prog, spec, nil) })
+			}
+			for name, h := range tinyHeuristics {
+				for _, spec := range []string{"2objH", "2callH", "2typeH"} {
+					t.Run(name+"/"+spec, func(t *testing.T) { compare(t, prog, spec, h) })
+				}
+			}
+		})
 	}
 }
 

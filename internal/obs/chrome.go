@@ -58,18 +58,15 @@ func (t *Tracer) ChromeEvents(process string) []ChromeEvent {
 			TID:   r.TID,
 			Args:  r.Args,
 		}
-		// Correlation IDs surface only in distributed traces, keeping
-		// single-process exports byte-stable.
+		// Correlation IDs surface only in traces that carry a trace ID,
+		// keeping CLI and /debug/trace exports byte-stable.
 		if traceID != "" && r.SpanID != 0 {
-			args := make(map[string]any, len(r.Args)+3)
+			args := make(map[string]any, len(r.Args)+2)
 			for k, v := range r.Args {
 				args[k] = v
 			}
 			args["trace_id"] = traceID
 			args["span_id"] = r.SpanID
-			if r.ParentID != 0 {
-				args["parent_span_id"] = r.ParentID
-			}
 			ev.Args = args
 		}
 		switch r.Phase {
@@ -94,22 +91,6 @@ func (t *Tracer) WriteChrome(w io.Writer, process string) error {
 		TraceEvents:     t.ChromeEvents(process),
 		DisplayTimeUnit: "ms",
 	})
-}
-
-// StitchChrome merges the trace events of several processes into one
-// document: set i's events keep their TIDs but are re-tagged PID i+1,
-// so every node of a forwarded request renders as its own process
-// group in Perfetto while span_id/parent_span_id args (stamped by
-// traced tracers) link the hops logically.
-func StitchChrome(sets ...[]ChromeEvent) ChromeDoc {
-	doc := ChromeDoc{DisplayTimeUnit: "ms"}
-	for i, set := range sets {
-		for _, ev := range set {
-			ev.PID = int64(i + 1)
-			doc.TraceEvents = append(doc.TraceEvents, ev)
-		}
-	}
-	return doc
 }
 
 // ParseChrome reads a Chrome trace-event JSON document — either the

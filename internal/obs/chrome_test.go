@@ -90,3 +90,48 @@ func TestParseChromeRejectsGarbage(t *testing.T) {
 		t.Error("garbage parsed without error")
 	}
 }
+
+// TestChromeIDsGatedOnTraceID: correlation args (trace_id, span_id)
+// appear in the Chrome export only after SetTraceID — CLI and
+// /debug/trace exports stay byte-stable.
+func TestChromeIDsGatedOnTraceID(t *testing.T) {
+	build := func(traceID string) []ChromeEvent {
+		tr := NewTracer(16)
+		if traceID != "" {
+			tr.SetTraceID(traceID)
+		}
+		track := tr.NewTrack("req")
+		root := track.Begin("request", nil)
+		child := track.Begin("solve", map[string]any{"spec": "insens"})
+		child.End()
+		root.End()
+		return tr.ChromeEvents("node")
+	}
+
+	for _, ev := range build("") {
+		for _, key := range []string{"trace_id", "span_id"} {
+			if _, ok := ev.Args[key]; ok {
+				t.Errorf("untraced export leaks %s on %q: %v", key, ev.Name, ev.Args)
+			}
+		}
+	}
+
+	byName := map[string]ChromeEvent{}
+	for _, ev := range build("trace-42") {
+		byName[ev.Name] = ev
+	}
+	if got := byName["process_name"].Args["trace_id"]; got != "trace-42" {
+		t.Errorf("process metadata trace_id = %v", got)
+	}
+	solve := byName["solve"]
+	if solve.Args["trace_id"] != "trace-42" {
+		t.Errorf("solve trace_id = %v", solve.Args["trace_id"])
+	}
+	if id, ok := solve.Args["span_id"].(uint64); !ok || id == 0 {
+		t.Errorf("solve span_id = %v (%T)", solve.Args["span_id"], solve.Args["span_id"])
+	}
+	// Stamping must not mutate the caller-retained args map.
+	if solve.Args["spec"] != "insens" {
+		t.Errorf("original arg lost: %v", solve.Args)
+	}
+}

@@ -59,13 +59,10 @@ type SpanRecord struct {
 	Dur   time.Duration
 	Args  map[string]any
 	// SpanID is the span's tracer-assigned identity (zero for instants
-	// and metadata); ParentID links to the parent span — possibly one
-	// recorded by another node's tracer, which is what cross-node trace
-	// stitching rides on. IDs surface in the Chrome export only when
-	// the tracer carries a trace ID (see Tracer.SetTraceID).
-	SpanID   uint64
-	ParentID uint64
-	seq      uint64 // tiebreak for stable ordering of same-Start records
+	// and metadata). IDs surface in the Chrome export only when the
+	// tracer carries a trace ID (see Tracer.SetTraceID).
+	SpanID uint64
+	seq    uint64 // tiebreak for stable ordering of same-Start records
 }
 
 // Tracer records spans and events. The zero value is not usable; build
@@ -120,11 +117,10 @@ func (t *Tracer) record(r SpanRecord) {
 // since converts an absolute time to an epoch offset.
 func (t *Tracer) since(at time.Time) time.Duration { return at.Sub(t.epoch) }
 
-// SetTraceID marks the tracer as belonging to a distributed trace.
-// When set, the Chrome export stamps every span's span_id /
-// parent_span_id (and the trace ID itself on the process metadata), so
-// spans from several nodes' tracers can be stitched into one document.
-// Safe on a nil tracer.
+// SetTraceID names the trace the tracer's records belong to. When set,
+// the Chrome export stamps every span with trace_id and span_id args
+// (and the process metadata with the trace ID), so one request's spans
+// can be matched to its access-log line. Safe on a nil tracer.
 func (t *Tracer) SetTraceID(id string) {
 	if t == nil {
 		return
@@ -142,18 +138,6 @@ func (t *Tracer) TraceID() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.traceID
-}
-
-// SeedSpanIDs offsets the tracer's span-ID counter. Per-request
-// tracers on different fleet nodes seed with distinct bases so span
-// IDs stay unique within one stitched trace. Safe on a nil tracer.
-func (t *Tracer) SeedSpanIDs(base uint64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.nextSpan = base
-	t.mu.Unlock()
 }
 
 // newSpanID hands out the next span identity.
@@ -266,30 +250,12 @@ func (tr *Track) Instant(name string, args map[string]any) {
 // A Span is owned by the goroutine that began it; its methods are not
 // safe for concurrent use with each other (the underlying Tracer is).
 type Span struct {
-	tr     *Track
-	name   string
-	start  time.Time
-	args   map[string]any
-	id     uint64
-	parent uint64
-	ended  bool
-}
-
-// ID returns the span's tracer-assigned identity; zero on a nil span.
-func (sp *Span) ID() uint64 {
-	if sp == nil {
-		return 0
-	}
-	return sp.id
-}
-
-// SetParent links the span under a parent span — by ID, so the parent
-// may live in another tracer (or another process entirely).
-func (sp *Span) SetParent(id uint64) {
-	if sp == nil {
-		return
-	}
-	sp.parent = id
+	tr    *Track
+	name  string
+	start time.Time
+	args  map[string]any
+	id    uint64
+	ended bool
 }
 
 // Set attaches (or overwrites) one argument on the span before End.
@@ -311,13 +277,12 @@ func (sp *Span) End() {
 	sp.ended = true
 	now := time.Now()
 	sp.tr.t.record(SpanRecord{
-		Name:     sp.name,
-		Phase:    PhaseSpan,
-		TID:      sp.tr.tid,
-		Start:    sp.tr.t.since(sp.start),
-		Dur:      now.Sub(sp.start),
-		Args:     sp.args,
-		SpanID:   sp.id,
-		ParentID: sp.parent,
+		Name:   sp.name,
+		Phase:  PhaseSpan,
+		TID:    sp.tr.tid,
+		Start:  sp.tr.t.since(sp.start),
+		Dur:    now.Sub(sp.start),
+		Args:   sp.args,
+		SpanID: sp.id,
 	})
 }

@@ -35,14 +35,10 @@ import (
 // "stream":true in the body; the default on GET) the response is a
 // chunked NDJSON event stream; see streamAnalyze.
 //
-// When the service is configured with Peers, requests for programs
-// owned by another node are forwarded there (one hop; see peers.go)
-// so the fleet's caches partition by program.
-//
 // Every response carries an X-Ptad-Request-Id header (see
 // RequestIDHeader), and with Config.Logger set, every /v1/* request
-// emits one structured access-log line keyed by that ID — the same ID
-// on every node a forwarded request touches.
+// emits one structured access-log line keyed by that ID. A trace=1
+// response's trace carries the same ID as its trace ID.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
@@ -92,18 +88,6 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, serr)
 		return
 	}
-	if peer, ok := s.routePeer(r, req.Lang, req.Name, req.Source); ok {
-		if req.Trace && !req.Stream {
-			// Traced forwards buffer the peer's response and stitch its
-			// trace onto this node's; a false return falls back to a
-			// local solve, same as the verbatim path.
-			if s.forwardAnalyzeTraced(w, r, peer, req, s.startReqTrace(r, requestID(r))) {
-				return
-			}
-		} else if s.forwardJSON(w, r, peer, "/v1/analyze", req) {
-			return
-		}
-	}
 	if req.Stream {
 		s.streamAnalyze(w, r, req)
 		return
@@ -115,7 +99,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var rt *reqTrace
 	var extra analysis.Observer
 	if req.Trace {
-		rt = s.startReqTrace(r, requestID(r))
+		rt = startReqTrace(requestID(r))
 		extra = analysis.TrackObserver(rt.track)
 	}
 	resp, serr := s.analyze(r.Context(), req, extra)
@@ -137,11 +121,6 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.metrics.add(&s.metrics.rejectedInvalid)
 		writeError(w, serr)
 		return
-	}
-	if peer, ok := s.routePeer(r, req.Lang, req.Name, req.Source); ok {
-		if s.forwardJSON(w, r, peer, "/v1/batch", req) {
-			return
-		}
 	}
 	resp, serr := s.Batch(r.Context(), req)
 	if serr != nil {

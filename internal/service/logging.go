@@ -10,11 +10,10 @@ import (
 	"time"
 )
 
-// RequestIDHeader carries the fleet-wide request correlation ID. The
-// edge node that first receives a request mints one (unless the client
-// supplied its own, which is honored after sanitizing); peer forwards
-// and batch fan-out carry it along, so one user action appears under
-// one ID in every node's access log. The header is also set on every
+// RequestIDHeader carries the request correlation ID. The daemon mints
+// one per request unless the client supplied its own, which is honored
+// after sanitizing. The ID keys the request's access-log line and, for
+// a trace=1 request, names its trace. The header is also set on every
 // response, so clients can quote it when reporting a problem.
 const RequestIDHeader = "X-Ptad-Request-Id"
 
@@ -29,7 +28,7 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// sanitizeRequestID bounds a client- or peer-supplied ID: at most 64
+// sanitizeRequestID bounds a client-supplied ID: at most 64
 // bytes of letters, digits, dots, dashes, underscores. Anything else
 // is discarded (the caller mints a fresh ID), so hostile header values
 // cannot smuggle log-breaking bytes into the access log.
@@ -51,9 +50,9 @@ func sanitizeRequestID(id string) string {
 
 // reqInfo travels down the request's context: the correlation ID plus
 // the fields the access-log line needs that only inner layers know
-// (spec, cache status, queue wait, forward target). Inner writers and
-// the logging middleware may race — the solve runs on its own
-// goroutine — so every field access goes through the mutex.
+// (spec, cache status, queue wait). Inner writers and the logging
+// middleware may race — the solve runs on its own goroutine — so
+// every field access goes through the mutex.
 type reqInfo struct {
 	id string
 
@@ -61,8 +60,7 @@ type reqInfo struct {
 	spec    string
 	program string
 	cache   string
-	peer    string // forward target, when this node routed the request away
-	queueMS int64  // worker-slot wait, when this request owned a solve
+	queueMS int64 // worker-slot wait, when this request owned a solve
 }
 
 func (ri *reqInfo) set(f func(*reqInfo)) {
@@ -138,7 +136,7 @@ func (s *Service) withObservability(next http.Handler) http.Handler {
 		ri.mu.Lock()
 		kv := []any{
 			"id", ri.id,
-			"node", s.nodeName(),
+			"node", nodeName,
 			"method", r.Method,
 			"path", r.URL.Path,
 			"status", status,
@@ -153,25 +151,13 @@ func (s *Service) withObservability(next http.Handler) http.Handler {
 		if ri.cache != "" {
 			kv = append(kv, "cache", ri.cache)
 		}
-		if ri.peer != "" {
-			kv = append(kv, "peer", ri.peer)
-		}
 		if ri.queueMS > 0 {
 			kv = append(kv, "queue_ms", ri.queueMS)
 		}
 		ri.mu.Unlock()
-		if from := r.Header.Get(ForwardHeader); from != "" {
-			kv = append(kv, "forwarded_from", from)
-		}
 		s.cfg.Logger.Info("request", kv...)
 	})
 }
 
-// nodeName labels this node in logs and stitched traces: its fleet
-// identity when peered, "local" for a single-node daemon.
-func (s *Service) nodeName() string {
-	if s.cfg.Self != "" {
-		return s.cfg.Self
-	}
-	return "local"
-}
+// nodeName labels the daemon in access-log lines and request traces.
+const nodeName = "local"

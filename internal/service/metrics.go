@@ -60,10 +60,6 @@ type Metrics struct {
 	batchJobs uint64 // jobs submitted through batches
 	streams   uint64 // streaming analyze responses
 
-	peerForwarded map[string]uint64 // peer → requests forwarded to it
-	peerErrors    map[string]uint64 // peer → failed forward attempts
-	peerFallbacks uint64            // forwards that fell back to a local solve
-
 	inFlight int // solves currently holding a worker slot
 	queued   int // admitted requests waiting for a worker slot
 
@@ -90,8 +86,6 @@ type Metrics struct {
 func newMetrics() *Metrics {
 	return &Metrics{
 		stageLatency:        make(map[string]*histogram),
-		peerForwarded:       make(map[string]uint64),
-		peerErrors:          make(map[string]uint64),
 		decisions:           make(map[string]uint64),
 		stageAllocBytes:     make(map[string]uint64),
 		stageLastAllocBytes: make(map[string]uint64),
@@ -122,13 +116,6 @@ func (m *Metrics) observeStageAlloc(stage string, bytes uint64, nodes int) {
 	if nodes > 0 {
 		m.bytesPerNode = bytes / uint64(nodes)
 	}
-	m.mu.Unlock()
-}
-
-// addPeer bumps one per-peer counter map under the lock.
-func (m *Metrics) addPeer(counts map[string]uint64, peer string) {
-	m.mu.Lock()
-	counts[peer]++
 	m.mu.Unlock()
 }
 
@@ -177,12 +164,7 @@ type MetricsSnapshot struct {
 	Batches       uint64 `json:"batches"`
 	BatchJobs     uint64 `json:"batch_jobs"`
 	Streams       uint64 `json:"streams"`
-	Peers         struct {
-		Forwarded map[string]uint64 `json:"forwarded,omitempty"`
-		Errors    map[string]uint64 `json:"errors,omitempty"`
-		Fallbacks uint64            `json:"fallbacks"`
-	} `json:"peers"`
-	Rejected struct {
+	Rejected      struct {
 		Invalid  uint64 `json:"invalid"`
 		Overload uint64 `json:"overload"`
 	} `json:"rejected"`
@@ -233,13 +215,6 @@ func (m *Metrics) snapshot(workers, capacity, diskEntries int) MetricsSnapshot {
 	s.Batches = m.batches
 	s.BatchJobs = m.batchJobs
 	s.Streams = m.streams
-	if len(m.peerForwarded) > 0 {
-		s.Peers.Forwarded = copyCounts(m.peerForwarded)
-	}
-	if len(m.peerErrors) > 0 {
-		s.Peers.Errors = copyCounts(m.peerErrors)
-	}
-	s.Peers.Fallbacks = m.peerFallbacks
 	s.Rejected.Invalid = m.rejectedInvalid
 	s.Rejected.Overload = m.rejectedLoad
 	s.Timeouts = m.timeouts

@@ -274,94 +274,6 @@ func TestTraceOnResponse(t *testing.T) {
 	}
 }
 
-// TestCrossNodeStitchedTrace is the tentpole end to end: a traced,
-// audited request enters the non-owner, is forwarded, and the client
-// gets one stitched trace document holding both nodes' spans — the
-// remote root span parented under the origin's forward span — while
-// both nodes' access logs carry the same request ID.
-func TestCrossNodeStitchedTrace(t *testing.T) {
-	var bufA, bufB syncBuffer
-	var hA, hB http.Handler
-	srvA := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { hA.ServeHTTP(w, r) }))
-	srvB := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { hB.ServeHTTP(w, r) }))
-	defer srvA.Close()
-	defer srvB.Close()
-	peers := []string{srvA.URL, srvB.URL}
-	svcA := service.MustNew(service.Config{Workers: 1, Peers: peers, Self: srvA.URL, Logger: obs.NewLogger(&bufA)})
-	svcB := service.MustNew(service.Config{Workers: 1, Peers: peers, Self: srvB.URL, Logger: obs.NewLogger(&bufB)})
-	hA, hB = svcA.Handler(), svcB.Handler()
-
-	src := holderMJ(t)
-	name := nameOwnedBy(t, svcA, svcB, src, srvB.URL)
-
-	resp, err := http.Post(srvA.URL+"/v1/analyze?spec=2objH-IntroA&stream=0&trace=1&decisions=1&name="+name,
-		"text/plain", strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, b)
-	}
-	id := resp.Header.Get(service.RequestIDHeader)
-	var doc analysis.RunJSON
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Cache != "miss" || !doc.Complete {
-		t.Fatalf("forwarded solve: cache=%q complete=%v", doc.Cache, doc.Complete)
-	}
-	if len(doc.Decisions) == 0 {
-		t.Error("forwarded audited request returned no decisions")
-	}
-	if doc.Trace == nil {
-		t.Fatal("forwarded traced request returned no trace")
-	}
-
-	// The stitched document holds both nodes' events under distinct
-	// PIDs, one trace ID throughout, and the cross-node parent link.
-	pids := map[int64]bool{}
-	var forwardSpanID, remoteRootParent any
-	var sawRemoteMain bool
-	for _, ev := range doc.Trace.TraceEvents {
-		pids[ev.PID] = true
-		if tid, ok := ev.Args["trace_id"]; ok && ev.Phase == "X" && tid != id {
-			t.Errorf("span %q trace_id = %v, want %q", ev.Name, tid, id)
-		}
-		switch {
-		case ev.Name == "forward" && ev.PID == 1:
-			forwardSpanID = ev.Args["span_id"]
-		case ev.Name == "request" && ev.PID == 2:
-			remoteRootParent = ev.Args["parent_span_id"]
-		case ev.Name == "main-pass" && ev.PID == 2:
-			sawRemoteMain = true
-		}
-	}
-	if len(pids) != 2 {
-		t.Errorf("stitched trace covers PIDs %v, want exactly 2", pids)
-	}
-	if !sawRemoteMain {
-		t.Error("owner's solve spans missing from the stitched trace")
-	}
-	if forwardSpanID == nil || remoteRootParent == nil || forwardSpanID != remoteRootParent {
-		t.Errorf("cross-node parent link broken: forward span_id=%v, remote root parent=%v", forwardSpanID, remoteRootParent)
-	}
-
-	// One request ID, two access logs.
-	lineA := waitForLogLine(t, &bufA, "entry node line", func(m map[string]any) bool { return m["id"] == id })
-	lineB := waitForLogLine(t, &bufB, "owner node line", func(m map[string]any) bool { return m["id"] == id })
-	if lineA["peer"] != srvB.URL {
-		t.Errorf("entry node line peer = %v, want %s", lineA["peer"], srvB.URL)
-	}
-	if lineB["forwarded_from"] != srvA.URL {
-		t.Errorf("owner node line forwarded_from = %v, want %s", lineB["forwarded_from"], srvA.URL)
-	}
-	if lineB["cache"] != "miss" {
-		t.Errorf("owner node line cache = %v, want miss", lineB["cache"])
-	}
-}
-
 // TestStreamDecisionsEvent: a streaming audited solve emits the
 // "decisions" event before the terminal result, and the result
 // document carries the same log.

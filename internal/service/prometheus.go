@@ -72,16 +72,6 @@ func (m *Metrics) writePrometheus(w io.Writer, workers, capacity, diskEntries in
 	p.Counter("ptad_batches_total", "Batch requests received.", float64(m.batches))
 	p.Counter("ptad_batch_jobs_total", "Jobs submitted through batch requests.", float64(m.batchJobs))
 	p.Counter("ptad_streams_total", "Streaming analyze responses served.", float64(m.streams))
-	p.Counter("ptad_peer_fallbacks_total", "Peer forwards that fell back to a local solve.", float64(m.peerFallbacks))
-
-	fwd := p.CounterFamily("ptad_peer_forwarded_total", "Requests forwarded to each peer.")
-	for _, peer := range sortedKeys(m.peerForwarded) {
-		fwd.Series(obs.Labels{"peer": peer}, float64(m.peerForwarded[peer]))
-	}
-	perr := p.CounterFamily("ptad_peer_errors_total", "Failed forward attempts per peer.")
-	for _, peer := range sortedKeys(m.peerErrors) {
-		perr.Series(obs.Labels{"peer": peer}, float64(m.peerErrors[peer]))
-	}
 
 	p.Gauge("ptad_in_flight", "Solves currently holding a worker slot.", float64(m.inFlight))
 	p.Gauge("ptad_queued", "Admitted requests waiting for a worker slot.", float64(m.queued))

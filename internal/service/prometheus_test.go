@@ -27,10 +27,6 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	m.batches = 1
 	m.batchJobs = 9
 	m.streams = 2
-	m.peerForwarded["http://node-a:8372"] = 2
-	m.peerForwarded["http://node-b:8372"] = 5
-	m.peerErrors["http://node-b:8372"] = 1
-	m.peerFallbacks = 1
 	m.inFlight = 1
 	m.queued = 2
 	// Deterministic bucket placement: 7ms → le=10, 40ms → le=50,
@@ -107,16 +103,6 @@ ptad_batch_jobs_total 9
 # HELP ptad_streams_total Streaming analyze responses served.
 # TYPE ptad_streams_total counter
 ptad_streams_total 2
-# HELP ptad_peer_fallbacks_total Peer forwards that fell back to a local solve.
-# TYPE ptad_peer_fallbacks_total counter
-ptad_peer_fallbacks_total 1
-# HELP ptad_peer_forwarded_total Requests forwarded to each peer.
-# TYPE ptad_peer_forwarded_total counter
-ptad_peer_forwarded_total{peer="http://node-a:8372"} 2
-ptad_peer_forwarded_total{peer="http://node-b:8372"} 5
-# HELP ptad_peer_errors_total Failed forward attempts per peer.
-# TYPE ptad_peer_errors_total counter
-ptad_peer_errors_total{peer="http://node-b:8372"} 1
 # HELP ptad_in_flight Solves currently holding a worker slot.
 # TYPE ptad_in_flight gauge
 ptad_in_flight 1

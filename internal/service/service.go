@@ -42,7 +42,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"runtime"
 	"strings"
 	"sync"
@@ -97,21 +96,10 @@ type Config struct {
 	// DiskEntries caps the on-disk store. 0 means DefaultDiskEntries;
 	// negative disables the store even with CacheDir set.
 	DiskEntries int
-	// Peers is the fleet's static membership as absolute base URLs
-	// ("http://10.0.0.1:8372"). When set, programs are routed across
-	// the fleet by consistent hashing of their content key: a request
-	// arriving at a non-owner node is forwarded to the owner (once —
-	// see ForwardHeader), so every node's cache and single-flight
-	// table sees all traffic for its share of the keyspace. Empty
-	// means single-node.
-	Peers []string
-	// Self is this node's own entry in Peers, byte-identical to how
-	// the other nodes list it. Required when Peers is set.
-	Self string
 	// Logger, if non-nil, receives one structured access-log line per
-	// /v1/* HTTP request (request ID, spec, cache status, peer hop,
-	// queue wait, status, latency). Nil means no request logging; the
-	// service itself never logs anywhere else.
+	// /v1/* HTTP request (request ID, spec, cache status, queue wait,
+	// status, latency). Nil means no request logging; the service
+	// itself never logs anywhere else.
 	Logger *obs.Logger
 }
 
@@ -176,10 +164,6 @@ type Service struct {
 	results *lruCache
 	store   *diskStore // durable tier, nil without Config.CacheDir
 
-	// Peer routing (nil/unused without Config.Peers; see peers.go).
-	ring       *peerRing
-	peerClient *http.Client
-
 	mu      sync.Mutex
 	flights map[string]*flight
 	pending int           // admitted requests not yet finished
@@ -201,8 +185,7 @@ type flight struct {
 
 // New builds a Service. The returned service has no background
 // goroutines of its own; it is garbage-collected when dropped. New
-// fails only on configuration errors: an unusable CacheDir or an
-// inconsistent Peers/Self pair.
+// fails only on an unusable CacheDir.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	s := &Service{
@@ -219,16 +202,6 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 		s.store = store
-	}
-	if len(cfg.Peers) > 0 {
-		ring, err := newPeerRing(cfg.Self, cfg.Peers)
-		if err != nil {
-			return nil, err
-		}
-		s.ring = ring
-		// No client timeout: the forwarded request's own context
-		// carries the deadline.
-		s.peerClient = &http.Client{}
 	}
 	return s, nil
 }

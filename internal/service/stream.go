@@ -26,7 +26,8 @@ import (
 // Cache hits and deduplicated requests stream too, degenerately: no
 // progress events (there is no solve to observe), just the terminal
 // result. Clients handle every stream the same way — read until the
-// terminal event.
+// terminal event. With trace=1 the terminal result carries the
+// request's trace, as a non-streamed response does.
 func (s *Service) streamAnalyze(w http.ResponseWriter, r *http.Request, req Request) {
 	// Validate eagerly so malformed requests get a real HTTP status
 	// instead of a 200 with an immediate error event. analyze
@@ -52,7 +53,7 @@ func (s *Service) streamAnalyze(w http.ResponseWriter, r *http.Request, req Requ
 		default:
 		}
 	}
-	observer := analysis.ObserverFuncs{
+	var observer analysis.Observer = analysis.ObserverFuncs{
 		OnStageStart: func(stage string) {
 			offer(ptav1.StreamEvent{Schema: ptav1.Schema, Event: ptav1.EventStage, Stage: stage})
 		},
@@ -70,6 +71,11 @@ func (s *Service) streamAnalyze(w http.ResponseWriter, r *http.Request, req Requ
 			}
 			offer(ptav1.StreamEvent{Schema: ptav1.Schema, Event: ptav1.EventDecisions, Stage: stage, Decisions: ds})
 		},
+	}
+	var rt *reqTrace
+	if req.Trace {
+		rt = startReqTrace(requestID(r))
+		observer = analysis.Observers(observer, analysis.TrackObserver(rt.track))
 	}
 
 	type outcome struct {
@@ -112,6 +118,11 @@ func (s *Service) streamAnalyze(w http.ResponseWriter, r *http.Request, req Requ
 			if out.serr != nil {
 				emit(ptav1.StreamEvent{Schema: ptav1.Schema, Event: ptav1.EventError, Code: out.serr.Code, Error: out.serr.Message})
 			} else {
+				if rt != nil {
+					// out.doc is finish's private copy; the cached
+					// document is never traced.
+					out.doc.Trace = rt.doc(out.doc.Cache)
+				}
 				emit(ptav1.StreamEvent{Schema: ptav1.Schema, Event: ptav1.EventResult, Result: out.doc})
 			}
 			return

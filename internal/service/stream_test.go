@@ -155,7 +155,7 @@ func TestStreamCacheHit(t *testing.T) {
 }
 
 // TestStreamGET: the curl-friendly form — GET with ?source= streams by
-// default.
+// default, and trace=1 is honored on a stream as on a plain response.
 func TestStreamGET(t *testing.T) {
 	svc := service.MustNew(service.Config{Workers: 1})
 	srv := httptest.NewServer(svc.Handler())
@@ -195,6 +195,60 @@ func TestStreamGET(t *testing.T) {
 	}
 	if doc.Schema != "pta/v1" || !doc.Complete {
 		t.Errorf("stream=false doc = schema %q complete %v", doc.Schema, doc.Complete)
+	}
+
+	// A streamed trace=1 request gets its trace on the terminal result:
+	// stage spans when it solved, only the request span on a hit, and
+	// nothing on an untraced repeat (the cached document stays clean).
+	// The cold request is a GET, the repeats a raw POST with stream=1.
+	spans := func(t *testing.T, resp *http.Response) (map[string]bool, *analysis.RunJSON) {
+		t.Helper()
+		id := resp.Header.Get(service.RequestIDHeader)
+		events := readStream(t, resp)
+		res := events[len(events)-1].Result
+		if res == nil {
+			t.Fatalf("terminal event = %+v", events[len(events)-1])
+		}
+		if res.Trace == nil {
+			return nil, res
+		}
+		names := map[string]bool{}
+		for _, ev := range res.Trace.TraceEvents {
+			if ev.Phase != "X" {
+				continue
+			}
+			names[ev.Name] = true
+			if ev.Args["trace_id"] != id {
+				t.Errorf("span %q trace_id = %v, want the request ID %q", ev.Name, ev.Args["trace_id"], id)
+			}
+		}
+		return names, res
+	}
+	q.Del("stream")
+	q.Set("spec", "2objH-IntroA")
+	q.Set("trace", "1")
+	resp3, err := http.Get(srv.URL + "/v1/analyze?" + q.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, res := spans(t, resp3)
+	if res.Cache != "miss" || !cold["request"] || !cold["main-pass"] {
+		t.Errorf("cold traced stream: cache=%q spans=%v, want a miss with request and main-pass spans", res.Cache, cold)
+	}
+	post := func(query string) *http.Response {
+		resp, err := http.Post(srv.URL+"/v1/analyze?spec=2objH-IntroA&name=tiny&stream=1"+query,
+			"text/plain", strings.NewReader(q.Get("source")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	hit, res := spans(t, post("&trace=1"))
+	if res.Cache != "hit" || !hit["request"] || hit["main-pass"] {
+		t.Errorf("traced stream hit: cache=%q spans=%v, want a hit with only the request span", res.Cache, hit)
+	}
+	if plain, _ := spans(t, post("")); plain != nil {
+		t.Errorf("untraced stream carries a trace: %v", plain)
 	}
 }
 

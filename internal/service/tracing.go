@@ -1,81 +1,37 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
 	"net/http"
-	"strconv"
-	"strings"
 
-	"introspect/internal/analysis"
 	"introspect/internal/obs"
 )
 
-// Trace-context headers. A traced forward carries all three: the
-// request ID (also used as the trace ID when the client supplied
-// none), and the forwarding node's span under which the remote node's
-// root span nests. Together they let the origin stitch both nodes'
-// span rings into one Perfetto-loadable document.
-const (
-	// TraceIDHeader names the distributed trace a forwarded request
-	// belongs to.
-	TraceIDHeader = "X-Ptad-Trace-Id"
-	// ParentSpanHeader is the forwarding node's span ID; the receiving
-	// node parents its root request span under it.
-	ParentSpanHeader = "X-Ptad-Parent-Span"
-)
-
 // reqTrace is one traced request's private tracer: its own ring (so
-// concurrent requests never interleave), a root "request" span, and
-// the node identity the exported events are labeled with.
+// concurrent requests never interleave) and a root "request" span.
 type reqTrace struct {
-	id     string
-	node   string
 	tracer *obs.Tracer
 	track  *obs.Track
 	root   *obs.Span
 }
 
-// startReqTrace builds the request's tracer. The trace ID is the
-// inbound X-Ptad-Trace-Id when a peer (or client) supplied one, else
-// the request's own correlation ID; span IDs are seeded from a hash of
-// (node, request ID) so the two tracers contributing to a stitched
-// cross-node trace cannot collide.
-func (s *Service) startReqTrace(r *http.Request, reqID string) *reqTrace {
-	node := s.nodeName()
+// startReqTrace builds a trace=1 request's tracer. The trace ID is the
+// request's correlation ID, so the trace and the access-log line name
+// the same request; a client that wants to choose the ID supplies it
+// in X-Ptad-Request-Id.
+func startReqTrace(reqID string) *reqTrace {
 	tracer := obs.NewTracer(4096)
-	traceID := sanitizeRequestID(r.Header.Get(TraceIDHeader))
-	if traceID == "" {
-		traceID = reqID
-	}
-	tracer.SetTraceID(traceID)
-	// 32 seed bits + 16 counter bits keeps every span ID below 2^53, so
-	// JSON tooling that reads numbers as float64 (trace viewers) never
-	// rounds two distinct IDs together.
-	tracer.SeedSpanIDs((ringHash(node+"|"+reqID) & 0xffffffff) << 16)
+	tracer.SetTraceID(reqID)
 	track := tracer.NewTrack("request " + reqID)
-	root := track.Begin("request", map[string]any{"id": reqID, "node": node})
-	if p := r.Header.Get(ParentSpanHeader); p != "" {
-		if v, err := strconv.ParseUint(p, 10, 64); err == nil {
-			root.SetParent(v)
-		}
-	}
-	return &reqTrace{id: reqID, node: node, tracer: tracer, track: track, root: root}
+	root := track.Begin("request", map[string]any{"id": reqID, "node": nodeName})
+	return &reqTrace{tracer: tracer, track: track, root: root}
 }
 
-// finish ends the root span, annotated with how the request was
-// satisfied, and renders this node's events.
-func (rt *reqTrace) finish(outcome string) []obs.ChromeEvent {
+// doc ends the root span, annotated with how the request was
+// satisfied, and renders the request's trace document.
+func (rt *reqTrace) doc(outcome string) *obs.ChromeDoc {
 	rt.root.Set("outcome", outcome)
 	rt.root.End()
-	return rt.tracer.ChromeEvents("ptad " + rt.node)
-}
-
-// doc is finish rendered as a single-node trace document.
-func (rt *reqTrace) doc(outcome string) *obs.ChromeDoc {
-	d := obs.ChromeDoc{TraceEvents: rt.finish(outcome), DisplayTimeUnit: "ms"}
-	return &d
+	return &obs.ChromeDoc{TraceEvents: rt.tracer.ChromeEvents("ptad " + nodeName), DisplayTimeUnit: "ms"}
 }
 
 // requestID returns the correlation ID minted by the logging
@@ -86,70 +42,4 @@ func requestID(r *http.Request) string {
 		return ri.id
 	}
 	return newRequestID()
-}
-
-// forwardAnalyzeTraced is forwardJSON's traced sibling for non-stream
-// /v1/analyze forwards: it sends the trace context with the request,
-// buffers the peer's response instead of streaming it through, and —
-// when the peer returned a run document carrying its own trace —
-// replaces that trace with the stitched two-node document (origin
-// events as process 1, the owner's as process 2). Like forwardJSON it
-// returns false when the peer is unreachable so the caller solves
-// locally.
-func (s *Service) forwardAnalyzeTraced(w http.ResponseWriter, r *http.Request, peer string, req Request, rt *reqTrace) bool {
-	b, err := json.Marshal(req)
-	if err != nil {
-		s.noteForwardError(peer)
-		return false
-	}
-	fsp := rt.track.Begin("forward", map[string]any{"peer": peer})
-	fsp.SetParent(rt.root.ID())
-	preq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, strings.TrimSuffix(peer, "/")+"/v1/analyze", bytes.NewReader(b))
-	if err != nil {
-		fsp.End()
-		s.noteForwardError(peer)
-		return false
-	}
-	preq.Header.Set("Content-Type", "application/json")
-	preq.Header.Set(ForwardHeader, s.ring.self)
-	preq.Header.Set(RequestIDHeader, rt.id)
-	preq.Header.Set(TraceIDHeader, rt.tracer.TraceID())
-	preq.Header.Set(ParentSpanHeader, strconv.FormatUint(fsp.ID(), 10))
-	resp, err := s.peerClient.Do(preq)
-	if err != nil {
-		fsp.End()
-		s.noteForwardError(peer)
-		return false
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fsp.End()
-		s.noteForwardError(peer)
-		return false
-	}
-	fsp.Set("status", resp.StatusCode)
-	fsp.End()
-	s.metrics.addPeer(s.metrics.peerForwarded, peer)
-	reqInfoFrom(r.Context()).set(func(ri *reqInfo) { ri.peer = peer })
-
-	var doc analysis.RunJSON
-	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &doc) != nil {
-		// Errors (and anything that is not a run document) pass through
-		// verbatim, as forwardJSON would.
-		if ct := resp.Header.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
-		}
-		w.WriteHeader(resp.StatusCode)
-		w.Write(body)
-		return true
-	}
-	var remote []obs.ChromeEvent
-	if doc.Trace != nil {
-		remote = doc.Trace.TraceEvents
-	}
-	stitched := obs.StitchChrome(rt.finish("forwarded:"+doc.Cache), remote)
-	doc.Trace = &stitched
-	writeBody(w, http.StatusOK, &doc)
-	return true
 }

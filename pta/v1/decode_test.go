@@ -1,44 +1,43 @@
 package ptav1_test
 
 import (
+	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"reflect"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"introspect/internal/analysis"
 	"introspect/internal/taint"
 	ptav1 "introspect/pta/v1"
 )
 
-func jsonReq(t *testing.T, body string) *http.Request {
-	t.Helper()
-	r, err := http.NewRequest(http.MethodPost, "http://x/v1/analyze", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+// analyzeReq builds a /v1/analyze request. The query is set verbatim,
+// unparsed, so any string reaches the decoder, as FuzzDecodeAnalyze
+// needs.
+func analyzeReq(method, contentType, query string, body io.Reader) *http.Request {
+	r := httptest.NewRequest(method, "/v1/analyze", body)
+	r.URL.RawQuery = query
+	if contentType != "" {
+		r.Header.Set("Content-Type", contentType)
 	}
-	r.Header.Set("Content-Type", "application/json")
 	return r
 }
 
-func rawReq(t *testing.T, query, body string) *http.Request {
-	t.Helper()
-	r, err := http.NewRequest(http.MethodPost, "http://x/v1/analyze?"+query, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Header.Set("Content-Type", "text/plain")
-	return r
+func jsonReq(body string) *http.Request {
+	return analyzeReq(http.MethodPost, "application/json", "", strings.NewReader(body))
 }
 
-func getReq(t *testing.T, query string) *http.Request {
-	t.Helper()
-	r, err := http.NewRequest(http.MethodGet, "http://x/v1/analyze?"+query, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+func rawReq(query, body string) *http.Request {
+	return analyzeReq(http.MethodPost, "text/plain", query, strings.NewReader(body))
+}
+
+func getReq(query string) *http.Request {
+	return analyzeReq(http.MethodGet, "", query, nil)
 }
 
 // TestDecodeEncodingsAgree is the defaulting-divergence regression
@@ -85,11 +84,11 @@ func TestDecodeEncodingsAgree(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			fromJSON, serr := ptav1.DecodeAnalyze(jsonReq(t, c.json), 1<<20)
+			fromJSON, serr := ptav1.DecodeAnalyze(jsonReq(c.json), 1<<20)
 			if serr != nil {
 				t.Fatalf("json form: %v", serr)
 			}
-			fromQuery, serr := ptav1.DecodeAnalyze(rawReq(t, c.query, src), 1<<20)
+			fromQuery, serr := ptav1.DecodeAnalyze(rawReq(c.query, src), 1<<20)
 			if serr != nil {
 				t.Fatalf("query form: %v", serr)
 			}
@@ -98,7 +97,7 @@ func TestDecodeEncodingsAgree(t *testing.T) {
 				getQuery += "&"
 			}
 			getQuery += "source=" + url.QueryEscape(src)
-			fromGET, serr := ptav1.DecodeAnalyze(getReq(t, getQuery), 1<<20)
+			fromGET, serr := ptav1.DecodeAnalyze(getReq(getQuery), 1<<20)
 			if serr != nil {
 				t.Fatalf("GET form: %v", serr)
 			}
@@ -130,12 +129,12 @@ func TestDecodeStreamParam(t *testing.T) {
 		req  *http.Request
 		want bool
 	}{
-		{"raw default", rawReq(t, "spec=insens", "x"), false},
-		{"raw stream=1", rawReq(t, "spec=insens&stream=1", "x"), true},
-		{"json body field", jsonReq(t, `{"source":"x","stream":true}`), true},
-		{"json query override", jsonReq(t, `{"source":"x"}`), false},
-		{"GET default", getReq(t, "source=x"), true},
-		{"GET opt-out", getReq(t, "source=x&stream=false"), false},
+		{"raw default", rawReq("spec=insens", "x"), false},
+		{"raw stream=1", rawReq("spec=insens&stream=1", "x"), true},
+		{"json body field", jsonReq(`{"source":"x","stream":true}`), true},
+		{"json query override", jsonReq(`{"source":"x"}`), false},
+		{"GET default", getReq("source=x"), true},
+		{"GET opt-out", getReq("source=x&stream=false"), false},
 	} {
 		req, serr := ptav1.DecodeAnalyze(c.req, 1<<20)
 		if serr != nil {
@@ -148,7 +147,7 @@ func TestDecodeStreamParam(t *testing.T) {
 	}
 
 	// The stream query parameter also overrides a JSON body.
-	r := jsonReq(t, `{"source":"x"}`)
+	r := jsonReq(`{"source":"x"}`)
 	r.URL.RawQuery = "stream=1"
 	req, serr := ptav1.DecodeAnalyze(r, 1<<20)
 	if serr != nil {
@@ -168,19 +167,19 @@ func TestDecodeErrors(t *testing.T) {
 		name string
 		req  *http.Request
 	}{
-		{"bad json", jsonReq(t, `{"source":`)},
-		{"unknown field", jsonReq(t, `{"sauce":"x"}`)},
-		{"second document", jsonReq(t, `{"source":"x","job":{"spec":"insens"}} {"job":{"spec":"2objH"}}`)},
-		{"trailing garbage", jsonReq(t, `{"source":"x","job":{"spec":"insens"}}garbage`)},
-		{"trailing brace", jsonReq(t, `{"source":"x"}}`)},
-		{"bad budget", rawReq(t, "budget=much", "x")},
-		{"bad deadline", rawReq(t, "deadline_ms=soon", "x")},
-		{"bad provenance", rawReq(t, "provenance=maybe", "x")},
-		{"workers json", jsonReq(t, `{"source":"x","job":{"spec":"insens","workers":2}}`)},
-		{"workers raw", rawReq(t, "spec=insens&workers=2", "x")},
-		{"workers GET", getReq(t, "source=x&spec=insens&workers=2")},
-		{"bad stream", rawReq(t, "stream=sure", "x")},
-		{"bad GET stream", getReq(t, "source=x&stream=sure")},
+		{"bad json", jsonReq(`{"source":`)},
+		{"unknown field", jsonReq(`{"sauce":"x"}`)},
+		{"second document", jsonReq(`{"source":"x","job":{"spec":"insens"}} {"job":{"spec":"2objH"}}`)},
+		{"trailing garbage", jsonReq(`{"source":"x","job":{"spec":"insens"}}garbage`)},
+		{"trailing brace", jsonReq(`{"source":"x"}}`)},
+		{"bad budget", rawReq("budget=much", "x")},
+		{"bad deadline", rawReq("deadline_ms=soon", "x")},
+		{"bad provenance", rawReq("provenance=maybe", "x")},
+		{"workers json", jsonReq(`{"source":"x","job":{"spec":"insens","workers":2}}`)},
+		{"workers raw", rawReq("spec=insens&workers=2", "x")},
+		{"workers GET", getReq("source=x&spec=insens&workers=2")},
+		{"bad stream", rawReq("stream=sure", "x")},
+		{"bad GET stream", getReq("source=x&stream=sure")},
 	} {
 		_, serr := ptav1.DecodeAnalyze(c.req, 1<<20)
 		if serr == nil {
@@ -193,9 +192,99 @@ func TestDecodeErrors(t *testing.T) {
 	}
 
 	// Trailing whitespace is not data.
-	if _, serr := ptav1.DecodeAnalyze(jsonReq(t, "{\"source\":\"x\"}\n \t\n"), 1<<20); serr != nil {
+	if _, serr := ptav1.DecodeAnalyze(jsonReq("{\"source\":\"x\"}\n \t\n"), 1<<20); serr != nil {
 		t.Errorf("trailing whitespace: %v", serr)
 	}
+}
+
+// FuzzDecodeAnalyze feeds one query string and one body to all three
+// encodings: a raw POST, a GET carrying the body as ?source=, and a
+// JSON POST. Invariants: no panic; every error is CodeBadRequest; a
+// decoded request names a spec; the raw-POST and GET forms agree (up
+// to GET's streaming default), including on whether they fail; and
+// when the body and every query key and value are valid UTF-8, the
+// raw-POST request survives a JSON round trip. (JSON strings cannot
+// carry invalid UTF-8, so without that precondition the round trip
+// fails by construction.)
+func FuzzDecodeAnalyze(f *testing.F) {
+	// Seeds: the rows of TestDecodeEncodingsAgree and TestDecodeErrors.
+	const src = "class Main { static void main() {} }"
+	for _, seed := range []struct{ query, body string }{
+		{"", src},
+		{"", `{"source":` + quote(src) + `}`},
+		{"lang=mj&name=p&spec=insens&budget=-1&deadline_ms=5&provenance=true", src},
+		{"", `{"lang":"mj","name":"p","source":` + quote(src) + `,"job":{"spec":"insens"},"budget":-1,"deadline_ms":5,"provenance":true}`},
+		{"spec=2objH&taint-sources=A.get&taint-sinks=B.put&taint-sanitizers=C.scrub", src},
+		{"", `{"source":` + quote(src) + `,"job":{"spec":"2objH","taint":{"sources":["A.get"],"sinks":["B.put"],"sanitizers":["C.scrub"]}}}`},
+		{"", `{"source":`},
+		{"", `{"sauce":"x"}`},
+		{"", `{"source":"x","job":{"spec":"insens"}} {"job":{"spec":"2objH"}}`},
+		{"", `{"source":"x","job":{"spec":"insens"}}garbage`},
+		{"", `{"source":"x"}}`},
+		{"budget=much", "x"},
+		{"deadline_ms=soon", "x"},
+		{"provenance=maybe", "x"},
+		{"", `{"source":"x","job":{"spec":"insens","workers":2}}`},
+		{"spec=insens&workers=2", "x"},
+		{"stream=sure", "x"},
+	} {
+		f.Add(seed.query, seed.body)
+	}
+	const maxBody = 1 << 30 // above any input: truncation is not under test
+	f.Fuzz(func(t *testing.T, query, body string) {
+		decode := func(form string, r *http.Request) (ptav1.AnalyzeRequest, bool) {
+			req, serr := ptav1.DecodeAnalyze(r, maxBody)
+			if serr != nil {
+				if serr.Code != ptav1.CodeBadRequest {
+					t.Fatalf("%s form: code %q (%s), want bad_request", form, serr.Code, serr.Message)
+				}
+				return req, false
+			}
+			if req.Job.Spec == "" {
+				t.Fatalf("%s form decoded without a spec: %+v", form, req)
+			}
+			return req, true
+		}
+
+		raw := rawReq(query, body)
+		fromRaw, rawOK := decode("raw POST", raw)
+		q := raw.URL.Query()
+		q.Set("source", body)
+		fromGET, getOK := decode("GET", getReq(q.Encode()))
+		js := jsonReq(body)
+		js.URL.RawQuery = query
+		decode("JSON", js)
+
+		if rawOK != getOK {
+			t.Fatalf("raw POST decoded=%v, GET decoded=%v", rawOK, getOK)
+		}
+		if !rawOK {
+			return
+		}
+		fromGET.Stream = fromRaw.Stream
+		if !reflect.DeepEqual(fromGET, fromRaw) {
+			t.Fatalf("GET form = %+v, raw POST form = %+v", fromGET, fromRaw)
+		}
+
+		for k, vs := range q {
+			if !utf8.ValidString(k) {
+				return
+			}
+			for _, v := range vs {
+				if !utf8.ValidString(v) {
+					return
+				}
+			}
+		}
+		b, err := json.Marshal(fromRaw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromJSON, ok := decode("re-encoded JSON", jsonReq(string(b)))
+		if !ok || !reflect.DeepEqual(fromJSON, fromRaw) {
+			t.Fatalf("JSON round trip of %s = %+v, want %+v", b, fromJSON, fromRaw)
+		}
+	})
 }
 
 // TestErrorBodyShape pins the one error envelope every endpoint uses.

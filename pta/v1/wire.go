@@ -164,11 +164,12 @@ type AnalyzeRequest struct {
 	// cached results serve audited responses too.
 	Decisions bool `json:"decisions,omitempty"`
 	// Trace asks for a per-request trace: RunJSON.Trace carries the
-	// Chrome trace-event document of this request's handling, stitched
-	// across the peer hop when the request was forwarded. Like
-	// Decisions it is presentational; unlike cached solve artifacts the
-	// trace always describes THIS request (a cache hit traces the
-	// lookup, not the original solve).
+	// Chrome trace-event document of this request's handling, with the
+	// request ID (X-Ptad-Request-Id) as its trace ID. Streamed responses
+	// carry it on the terminal result. Like Decisions it is
+	// presentational; unlike cached solve artifacts the trace always
+	// describes THIS request (a cache hit traces the lookup, not the
+	// original solve).
 	Trace bool `json:"trace,omitempty"`
 }
 

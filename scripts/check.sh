@@ -39,9 +39,10 @@ rm -f /tmp/pta-trace-smoke.$$.json
 # included), POST a real program, and assert a pta/v1 response comes
 # back; then hit the observability surfaces.
 go build -o /tmp/ptad.$$ ./cmd/ptad
-/tmp/ptad.$$ -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 >/tmp/ptad.$$.log &
+/tmp/ptad.$$ -addr 127.0.0.1:0 -debug-addr 127.0.0.1:0 >/tmp/ptad.$$.log 2>/tmp/ptad.$$.err &
 PTAD_PID=$!
-trap 'kill $PTAD_PID 2>/dev/null || true; rm -f /tmp/ptad.$$ /tmp/ptad.$$.log' EXIT
+trap 'kill $PTAD_PID 2>/dev/null || true; \
+      rm -f /tmp/ptad.$$ /tmp/ptad.$$.log /tmp/ptad.$$.err /tmp/ptad-run.$$.json' EXIT
 # The first stdout line is "ptad: listening on http://HOST:PORT".
 URL=""
 for i in $(seq 1 50); do
@@ -69,15 +70,30 @@ curl -sS "$DEBUG_URL/debug/trace" >/tmp/ptad-trace.$$.json
 go run ./scripts/tracecheck -require-snapshots=false /tmp/ptad-trace.$$.json
 rm -f /tmp/ptad-trace.$$.json
 
+# Correlation smoke (after the solve counts above, since it solves
+# again): a traced, audited request with a client-supplied request ID.
+# The response's trace passes tracecheck, its decision audit is
+# non-empty, and the ID keys the daemon's JSON access-log line on
+# stderr. That line is written after the response, so poll for it.
+RID="smoke-$$"
+curl -sS -H "X-Ptad-Request-Id: $RID" --data-binary @examples/ptalint/holder.mj \
+    "$URL/v1/analyze?spec=2objH-IntroB&stream=0&trace=1&decisions=1" >/tmp/ptad-run.$$.json
+go run ./scripts/tracecheck -from-run -require-snapshots=false /tmp/ptad-run.$$.json
+grep -q '"decisions":\[{' /tmp/ptad-run.$$.json
+for i in $(seq 1 50); do
+    grep -q "\"id\":\"$RID\"" /tmp/ptad.$$.err && break
+    sleep 0.1
+done
+grep -q "\"id\":\"$RID\"" /tmp/ptad.$$.err
+
 # The smokes below boot additional daemons; one trap cleans up all of
 # them plus every scratch file.
-STORE_PID="" NODEA_PID="" NODEB_PID=""
-trap 'kill $PTAD_PID $STORE_PID $NODEA_PID $NODEB_PID 2>/dev/null || true; \
-      rm -rf /tmp/ptad.$$ /tmp/ptad.$$.log /tmp/ptad-store.$$ \
+STORE_PID=""
+trap 'kill $PTAD_PID $STORE_PID 2>/dev/null || true; \
+      rm -rf /tmp/ptad.$$ /tmp/ptad.$$.log /tmp/ptad.$$.err \
+             /tmp/ptad-run.$$.json /tmp/ptad-store.$$ \
              /tmp/ptad-store.$$.log /tmp/ptad-store2.$$.log \
-             /tmp/ptad-a.$$.log /tmp/ptad-b.$$.log \
-             /tmp/ptad-a.$$.err /tmp/ptad-b.$$.err \
-             /tmp/ptad-fwd.$$.json /tmp/ptad-jython.$$.ir' EXIT
+             /tmp/ptad-jython.$$.ir' EXIT
 
 # wait_url blocks until a freshly booted daemon prints its listening
 # line into the given log, then echoes the base URL.
@@ -131,51 +147,3 @@ curl -sS "$SURL/metrics" | grep -q '"solves":0'
 kill $STORE_PID
 wait $STORE_PID 2>/dev/null || true
 STORE_PID=""
-
-# Two-node smoke: a static two-peer ring on fixed loopback ports.
-# Distinct program names spread across the ring, so posting everything
-# at node A must forward some requests to node B — visible in A's
-# Prometheus forwarding counter.
-PEER_A=127.0.0.1:18472
-PEER_B=127.0.0.1:18473
-PEERS="http://$PEER_A,http://$PEER_B"
-/tmp/ptad.$$ -addr $PEER_A -peers "$PEERS" -self "http://$PEER_A" \
-    >/tmp/ptad-a.$$.log 2>/tmp/ptad-a.$$.err &
-NODEA_PID=$!
-/tmp/ptad.$$ -addr $PEER_B -peers "$PEERS" -self "http://$PEER_B" \
-    >/tmp/ptad-b.$$.log 2>/tmp/ptad-b.$$.err &
-NODEB_PID=$!
-wait_url /tmp/ptad-a.$$.log >/dev/null
-wait_url /tmp/ptad-b.$$.log >/dev/null
-for i in $(seq 1 16); do
-    curl -sS --data-binary @examples/ptalint/holder.mj \
-        "http://$PEER_A/v1/analyze?spec=insens&name=fleet$i" | grep -q '"complete":true'
-done
-curl -sS "http://$PEER_A/metrics?format=prometheus" \
-    | grep -qF 'ptad_peer_forwarded_total{peer="http://127.0.0.1:18473"}'
-
-# Correlation + stitching smoke: post traced introspective requests at
-# node A until one lands on a name node B owns — the response's trace
-# then carries two process groups ("pid":2 appears only in stitched
-# documents). With that request in hand, assert the fleet-wide
-# correlation story end to end: the request ID we supplied shows up in
-# BOTH nodes' JSON access logs (B's with the forwarded_from hop), the
-# stitched trace passes tracecheck's multi-process validation, and the
-# introspection decision audit came back non-empty.
-FWD_ID=""
-for i in $(seq 1 16); do
-    RID="smoke-$$-$i"
-    curl -sS -H "X-Ptad-Request-Id: $RID" --data-binary @examples/ptalint/holder.mj \
-        "http://$PEER_A/v1/analyze?spec=2objH-IntroB&name=fleet$i&stream=0&trace=1&decisions=1" \
-        >/tmp/ptad-fwd.$$.json
-    if grep -q '"pid":2' /tmp/ptad-fwd.$$.json; then FWD_ID=$RID; break; fi
-done
-[ -n "$FWD_ID" ]
-grep -q "\"id\":\"$FWD_ID\"" /tmp/ptad-a.$$.err
-grep -q "\"id\":\"$FWD_ID\"" /tmp/ptad-b.$$.err
-grep "\"id\":\"$FWD_ID\"" /tmp/ptad-b.$$.err | grep -q '"forwarded_from"'
-go run ./scripts/tracecheck -from-run -stitched -require-snapshots=false /tmp/ptad-fwd.$$.json
-grep -q '"decisions":\[{' /tmp/ptad-fwd.$$.json
-kill $NODEA_PID $NODEB_PID
-wait $NODEA_PID $NODEB_PID 2>/dev/null || true
-NODEA_PID="" NODEB_PID=""

@@ -1,26 +1,17 @@
 // Command tracecheck validates a Chrome trace-event JSON file as
-// produced by `pta -trace`, `introbench -trace`, ptad's /debug/trace,
-// or the stitched cross-node trace on a forwarded /v1/analyze
-// response: the file must parse (object or bare-array form), contain
-// stage spans with consistent nesting per lane, and — unless
+// produced by `pta -trace`, `introbench -trace` or ptad's
+// /debug/trace: the file must parse (object or bare-array form),
+// contain stage spans with consistent nesting per lane, and — unless
 // -require-snapshots=false — carry at least one sampled solver
-// snapshot with a live work counter. Lanes are keyed by (pid, tid):
-// a stitched trace repeats tid 1 in every process group, and those
-// lanes are distinct.
-//
-// With -stitched, the file must additionally be a well-formed
-// multi-node trace: at least two process groups, exactly one trace ID
-// across all correlated events, and every parent_span_id resolving to
-// a span_id somewhere in the document — including across processes,
-// which is the link stitching exists to provide. `make trace-smoke`
-// runs the single-process mode in CI; scripts/check.sh runs -stitched
-// over a live two-node forward.
+// snapshot with a live work counter. Lanes are keyed by (pid, tid),
+// as the Chrome format scopes tids to their pid.
 //
 // With -from-run, the input is a pta/v1 run document (a /v1/analyze
 // response saved to disk) and the embedded "trace" field is what gets
 // validated — the shape a `trace=1` request returns.
+// `make trace-smoke` runs the plain mode; scripts/check.sh runs both.
 //
-// Usage: tracecheck [-require-snapshots=true] [-stitched] [-from-run] trace.json
+// Usage: tracecheck [-require-snapshots=true] [-from-run] trace.json
 package main
 
 import (
@@ -37,27 +28,24 @@ import (
 
 func main() {
 	requireSnaps := flag.Bool("require-snapshots", true, "fail unless the trace has a solver snapshot with work > 0")
-	stitched := flag.Bool("stitched", false, "require a multi-process trace with one trace ID and resolvable cross-process parent links")
 	fromRun := flag.Bool("from-run", false, "input is a pta/v1 run document; validate its embedded trace field")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck [-require-snapshots=true] [-stitched] [-from-run] trace.json")
+		fmt.Fprintln(os.Stderr, "usage: tracecheck [-require-snapshots=true] [-from-run] trace.json")
 		os.Exit(2)
 	}
-	if err := check(flag.Arg(0), *requireSnaps, *stitched, *fromRun); err != nil {
+	if err := check(flag.Arg(0), *requireSnaps, *fromRun); err != nil {
 		fmt.Fprintln(os.Stderr, "tracecheck:", err)
 		os.Exit(1)
 	}
 }
 
-// lane identifies one viewer lane. The Chrome format scopes tids to
-// their pid, so a stitched trace legitimately reuses tid numbers
-// across its process groups.
+// lane identifies one viewer lane.
 type lane struct {
 	pid, tid int64
 }
 
-func check(path string, requireSnaps, stitched, fromRun bool) error {
+func check(path string, requireSnaps, fromRun bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -85,24 +73,8 @@ func check(path string, requireSnaps, stitched, fromRun bool) error {
 	var snapshots int
 	byLane := map[lane][]obs.ChromeEvent{}
 	pids := map[int64]bool{}
-	traceIDs := map[string]bool{}
-	spanIDs := map[float64]bool{}
-	type parentRef struct {
-		span   string
-		parent float64
-	}
-	var parents []parentRef
 	for _, ev := range events {
 		pids[ev.PID] = true
-		if id, ok := ev.Args["trace_id"].(string); ok {
-			traceIDs[id] = true
-		}
-		if id, ok := ev.Args["span_id"].(float64); ok {
-			spanIDs[id] = true
-		}
-		if p, ok := ev.Args["parent_span_id"].(float64); ok {
-			parents = append(parents, parentRef{span: ev.Name, parent: p})
-		}
 		switch ev.Phase {
 		case obs.PhaseSpan:
 			spans++
@@ -131,23 +103,6 @@ func check(path string, requireSnaps, stitched, fromRun bool) error {
 	}
 	if requireSnaps && snapshots == 0 {
 		return fmt.Errorf("%s: no solver snapshot instants (was the solve long enough for the sampling interval?)", path)
-	}
-
-	if stitched {
-		if len(pids) < 2 {
-			return fmt.Errorf("%s: stitched trace has %d process group(s), want >= 2", path, len(pids))
-		}
-		if len(traceIDs) != 1 {
-			return fmt.Errorf("%s: stitched trace carries %d distinct trace IDs, want exactly 1", path, len(traceIDs))
-		}
-		if len(parents) == 0 {
-			return fmt.Errorf("%s: stitched trace has no parent_span_id links — the hops are not connected", path)
-		}
-		for _, p := range parents {
-			if !spanIDs[p.parent] {
-				return fmt.Errorf("%s: span %q references parent_span_id %v, which no span in the document carries", path, p.span, p.parent)
-			}
-		}
 	}
 
 	// Spans on one lane must nest like a call stack: a span that starts
