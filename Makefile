@@ -38,13 +38,12 @@ test:
 race:
 	$(GO) test -race ./internal/analysis ./internal/pta ./internal/cutshortcut ./internal/checkers ./internal/service ./internal/obs
 
-# bench runs the one-iteration figure benchmarks plus the service load
-# replay (scripts/replay.sh), which records SLO_<date>.json — latency
-# percentiles, throughput, and the cache hit ratio — next to the
-# BENCH_<date>.json files scripts/bench.sh writes.
+# bench records the benchmark ledger, scripts/bench.sh: perfbench's
+# three workloads for three seeds, traced and untraced, written as
+# BENCH_<date>.json (paper-figs, lint-prov) and SLO_<date>.json
+# (ptad-sweep), with the tracing wall-time gate. About 9 minutes.
 bench:
-	$(GO) test -bench='Fig|Provenance|CutShortcut' -benchtime=1x -run=^$$ .
-	scripts/replay.sh
+	scripts/bench.sh
 
 # trace-smoke solves a real benchmark with tracing on and validates
 # the exported Chrome trace (parses, spans nest, solver snapshots

@@ -1,17 +1,18 @@
 package introspect_test
 
-// The benchmark harness: one testing.B benchmark per figure of the
-// paper's evaluation section. Each iteration regenerates the figure's
-// full data (all benchmarks × all analysis variants) through the
+// Go benchmarks for the figures and costs no perfbench workload
+// measures. perfbench (see perfbench/README.md) times Figures 5-7, and
+// scripts/bench.sh records its runs; the benchmarks here cover
+// Figures 1, 4 and 9, the cut-shortcut analysis and the provenance
+// recorder. Each iteration regenerates the data through the
 // bounded-parallel fleet runner — the same code path cmd/introbench
-// prints as tables — and reports the figure's aggregate cost:
+// prints as tables — and reports the aggregate cost:
 //
 //	work      total solver work units (the deterministic time proxy)
 //	peakpt    largest single points-to set of any run (explosion indicator)
 //	timeouts  runs that exhausted the work budget (the paper's missing bars)
 //
-// For a single end-to-end pass use -benchtime=1x; scripts/bench.sh
-// records these numbers as BENCH_<date>.json.
+// For a single end-to-end pass use -benchtime=1x.
 
 import (
 	"context"
@@ -20,7 +21,6 @@ import (
 
 	"introspect/internal/analysis"
 	"introspect/internal/figures"
-	"introspect/internal/obs"
 	"introspect/internal/pta"
 	"introspect/internal/report"
 	"introspect/internal/suite"
@@ -95,48 +95,14 @@ func BenchmarkFig4(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5 regenerates Figure 5 (2objH variants).
-func BenchmarkFig5(b *testing.B) { benchFig(b, "2objH") }
-
-// BenchmarkFig5Traced is BenchmarkFig5 with the observability layer
-// on: every run records stage spans and sampled solver snapshots onto
-// a shared trace ring. Paired with BenchmarkFig5 it is the tracing
-// overhead gate scripts/bench.sh enforces — the work/peakpt/timeouts
-// metrics must be identical (observers are read-only; tracing cannot
-// perturb the solver) and wall time must stay within noise, since the
-// sampled O(nodes) snapshot scan amortizes over 2^20 work units.
-func BenchmarkFig5Traced(b *testing.B) {
-	tcfg := cfg
-	tcfg.Tracer = obs.NewTracer(0)
-	tcfg.SnapshotEvery = 1 << 20
-	var rows []report.Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = figures.FigPerf(tcfg, "2objH")
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportRows(b, rows)
-	b.ReportMetric(float64(tcfg.Tracer.Len())+float64(tcfg.Tracer.Dropped()), "events")
-}
-
-// BenchmarkFig6 regenerates Figure 6 (2typeH variants).
-func BenchmarkFig6(b *testing.B) { benchFig(b, "2typeH") }
-
-// BenchmarkFig7 regenerates Figure 7 (2callH variants).
-func BenchmarkFig7(b *testing.B) { benchFig(b, "2callH") }
-
 // BenchmarkProvenance measures the solver cost of derivation-witness
 // recording (pta.Options.Provenance) on the largest suite benchmark:
 // "off" is the default figure configuration (the recorder reduces to a
 // nil check per edge push and per word of new bits), "on" adds the
 // recorder's stamps on the same word-level propagation path. Both
 // report the same work; "witnessed" counts the facts with a recorded
-// source (0 when off). scripts/bench.sh records both and fails if the
-// work differs or "on" witnessed nothing, and a regression in the
-// disabled path shows up as Provenance/off drifting from the Fig
-// benchmarks' historical work-per-nanosecond.
+// source (0 when off). TestProvenanceDoesNotChangeResults checks this
+// solve's work and witnesses; the benchmark prices the recorder.
 func BenchmarkProvenance(b *testing.B) {
 	prog, err := suite.Load("jython")
 	if err != nil {
@@ -166,9 +132,7 @@ func BenchmarkProvenance(b *testing.B) {
 // analysis (cs adds pattern detection plus graph edits to the same
 // context-free solve — the work delta is the whole overhead) and full
 // 2objH (the context-sensitive configuration cs replaces; its row
-// carries the two budget-exhausted runs). scripts/bench.sh records all
-// three rows in BENCH_<date>.json, so cost-vs-insens drift and the
-// cs-below-2objH invariant are tracked across commits.
+// carries the two budget-exhausted runs).
 func BenchmarkCutShortcut(b *testing.B) {
 	lim := analysis.Limits{Budget: figures.DefaultBudget}
 	for _, spec := range []string{"insens", "cs", "2objH"} {
@@ -203,8 +167,7 @@ func BenchmarkCutShortcut(b *testing.B) {
 // kernel-grafted benchmarks under the five-policy spectrum. Besides
 // wall time it reports the figure's deterministic aggregates — total
 // solver work, timeouts, and the total reported/false-positive sink
-// sites across solved runs — so BENCH_<date>.json tracks the taint
-// client's cost and precision spread across commits.
+// sites across solved runs.
 func BenchmarkTaint(b *testing.B) {
 	var rows []figures.TaintRow
 	for i := 0; i < b.N; i++ {
@@ -229,18 +192,4 @@ func BenchmarkTaint(b *testing.B) {
 	b.ReportMetric(float64(timeouts), "timeouts")
 	b.ReportMetric(float64(reported), "reports")
 	b.ReportMetric(float64(falsePos), "falsepos")
-}
-
-// benchFig regenerates one of Figures 5-7: four analysis variants over
-// the six experimental subjects.
-func benchFig(b *testing.B, deep string) {
-	var rows []report.Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = figures.FigPerf(cfg, deep)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportRows(b, rows)
 }

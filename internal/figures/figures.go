@@ -38,10 +38,6 @@ type Config struct {
 	// stage and sampled solver snapshots as instant events. Tracing
 	// never changes figure output — observers are read-only.
 	Tracer *obs.Tracer
-	// SnapshotEvery is the solver work-unit interval between trace
-	// snapshots; 0 means the solver default. Effective only with
-	// Tracer set.
-	SnapshotEvery int64
 }
 
 // DefaultBudget reproduces the paper's timeout behavior on this suite:
@@ -97,7 +93,6 @@ func (c Config) instrument(reqs []analysis.Request) {
 	for i := range reqs {
 		track := c.Tracer.NewTrack(benchOf(reqs[i]) + " " + reqs[i].Job.Spec)
 		reqs[i].Observer = analysis.Observers(reqs[i].Observer, analysis.TrackObserver(track))
-		reqs[i].SnapshotEvery = c.SnapshotEvery
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"introspect/internal/obs"
 	"introspect/internal/report"
 	"introspect/internal/suite"
 )
@@ -110,14 +111,40 @@ func TestFig4Shape(t *testing.T) {
 	}
 }
 
-// figTimeouts maps deep analysis → benchmark → expected-timeout sets
-// for the full and IntroB variants, from Figures 5-7.
-var figTimeouts = map[string]struct {
+// figPerfWant maps deep analysis → the expected-timeout sets for the
+// full and IntroB variants, from Figures 5-7, and the figure's exact
+// totals. The totals are deterministic: a change to propagation order,
+// work accounting or the budget cut shows up here even where
+// fig5.golden, which rounds work to thousands, stays the same.
+var figPerfWant = map[string]struct {
 	full, introB map[string]bool
+	totals       figTotals
 }{
-	"2objH":  {full: set("hsqldb", "jython"), introB: set("jython")},
-	"2typeH": {full: set("jython"), introB: set()},
-	"2callH": {full: set("bloat", "hsqldb", "jython", "xalan"), introB: set("jython")},
+	"2objH":  {full: set("hsqldb", "jython"), introB: set("jython"), totals: figTotals{157_758_965, 31_878_303, 3}},
+	"2typeH": {full: set("jython"), introB: set(), totals: figTotals{106_387_902, 36_165_201, 1}},
+	"2callH": {full: set("bloat", "hsqldb", "jython", "xalan"), introB: set("jython"), totals: figTotals{185_367_736, 15_880_820, 5}},
+}
+
+// figTotals is a figure's aggregate cost: total solver work, the
+// derivations of its completed runs, and its timeouts. Timed-out runs
+// add no derivations, because where a budget cuts a run off depends on
+// the order it derived facts in.
+type figTotals struct {
+	work, cderivs int64
+	timeouts      int
+}
+
+func totalsOf(rows []report.Row) figTotals {
+	var t figTotals
+	for _, r := range rows {
+		t.work += r.Work
+		if r.TimedOut {
+			t.timeouts++
+		} else {
+			t.cderivs += r.Derivations
+		}
+	}
+	return t
 }
 
 func set(names ...string) map[string]bool {
@@ -135,7 +162,10 @@ func testFigPerfShape(t *testing.T, deep string) {
 		t.Fatal(err)
 	}
 	m := rowMap(rows)
-	want := figTimeouts[deep]
+	want := figPerfWant[deep]
+	if got := totalsOf(rows); got != want.totals {
+		t.Errorf("%s: totals %+v, want %+v", deep, got, want.totals)
+	}
 	for _, b := range suite.ExperimentalSubjects() {
 		full := m[b][deep]
 		introA := m[b][deep+"-IntroA"]
@@ -201,6 +231,31 @@ func testFigPerfShape(t *testing.T, deep string) {
 func TestFig5Shape(t *testing.T) { testFigPerfShape(t, "2objH") }
 func TestFig6Shape(t *testing.T) { testFigPerfShape(t, "2typeH") }
 func TestFig7Shape(t *testing.T) { testFigPerfShape(t, "2callH") }
+
+// TestFig5Traced regenerates Figure 5 with tracing on: stage spans and
+// solver snapshots at the solver's default interval. Observers are
+// read-only, so the totals must equal the untraced figure's, and the
+// trace must hold at least one snapshot.
+func TestFig5Traced(t *testing.T) {
+	cfg := wantShape(t)
+	cfg.Tracer = obs.NewTracer(0)
+	rows, err := FigPerf(cfg, "2objH")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := totalsOf(rows), figPerfWant["2objH"].totals; got != want {
+		t.Errorf("traced totals %+v, want the untraced %+v", got, want)
+	}
+	snapshots := 0
+	for _, r := range cfg.Tracer.Spans() {
+		if r.Phase == obs.PhaseInstant {
+			snapshots++
+		}
+	}
+	if snapshots == 0 {
+		t.Error("traced Figure 5 recorded no solver snapshot")
+	}
+}
 
 // TestVariantsAndNumbers pins the harness plumbing.
 func TestVariantsAndNumbers(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"introspect/internal/bits"
 	"introspect/internal/ir"
 	"introspect/internal/randprog"
 	"introspect/internal/suite"
@@ -158,5 +159,149 @@ func TestVarsPointingToMatchesForward(t *testing.T) {
 	nodes, edges := res.ConstraintStats()
 	if nodes == 0 || edges == 0 {
 		t.Error("constraint stats empty")
+	}
+}
+
+// The two classic call-graph baselines that points-to frameworks are
+// traditionally compared against, kept as the reference the tests in
+// this file check the solver's call graph with:
+//
+//   - CHA (Class Hierarchy Analysis): a virtual call may dispatch to
+//     every override in the hierarchy compatible with the receiver's
+//     declared signature — no data flow at all.
+//   - RTA (Rapid Type Analysis): like CHA, but only classes actually
+//     instantiated somewhere in the reachable program count.
+//
+// Both are far cheaper and far less precise than even a context-
+// insensitive points-to analysis; they bound the precision spectrum
+// from below.
+
+// CallGraphResult is the outcome of a CHA or RTA construction.
+type CallGraphResult struct {
+	Analysis string
+	Prog     *ir.Program
+
+	reachable bits.Set
+	targets   []map[ir.MethodID]struct{}
+	edges     int
+}
+
+// NumReachableMethods returns the number of reachable methods.
+func (r *CallGraphResult) NumReachableMethods() int { return r.reachable.Len() }
+
+// MethodReachable reports whether m is reachable.
+func (r *CallGraphResult) MethodReachable(m ir.MethodID) bool { return r.reachable.Has(int32(m)) }
+
+// NumInvoTargets returns the number of targets resolved for site i.
+func (r *CallGraphResult) NumInvoTargets(i ir.InvoID) int { return len(r.targets[i]) }
+
+// NumEdges returns the number of (invocation site, target) edges.
+func (r *CallGraphResult) NumEdges() int { return r.edges }
+
+// PolyVCalls counts reachable virtual call sites with more than one
+// target — the devirtualization metric under this call-graph
+// algorithm.
+func (r *CallGraphResult) PolyVCalls() int {
+	n := 0
+	for mi := range r.Prog.Methods {
+		if !r.MethodReachable(ir.MethodID(mi)) {
+			continue
+		}
+		for ci := range r.Prog.Methods[mi].Calls {
+			c := &r.Prog.Methods[mi].Calls[ci]
+			if c.Kind == ir.Virtual && r.NumInvoTargets(c.Invo) > 1 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// CHA builds the Class Hierarchy Analysis call graph.
+func CHA(prog *ir.Program) *CallGraphResult { return chaLike(prog, "CHA", false) }
+
+// RTA builds the Rapid Type Analysis call graph: like CHA but a class
+// participates in dispatch only once an allocation of it appears in a
+// reachable method.
+func RTA(prog *ir.Program) *CallGraphResult { return chaLike(prog, "RTA", true) }
+
+// chaLike runs a round-based fixpoint: reachability, (for RTA) the
+// instantiated-class set, and call edges grow monotonically until
+// stable. CHA and RTA are linear-ish and run in rounds for clarity
+// rather than with a fine-grained worklist; both finish in a handful
+// of rounds even on the largest suite subjects.
+func chaLike(prog *ir.Program, name string, rta bool) *CallGraphResult {
+	r := &CallGraphResult{
+		Analysis: name,
+		Prog:     prog,
+		targets:  make([]map[ir.MethodID]struct{}, prog.NumInvos()),
+	}
+	instantiated := &bits.Set{}
+	for _, e := range prog.Entries {
+		r.reachable.Add(int32(e))
+	}
+
+	addEdge := func(invo ir.InvoID, m ir.MethodID) bool {
+		if r.targets[invo] == nil {
+			r.targets[invo] = make(map[ir.MethodID]struct{})
+		}
+		if _, ok := r.targets[invo][m]; ok {
+			return false
+		}
+		r.targets[invo][m] = struct{}{}
+		r.edges++
+		return true
+	}
+
+	// Concrete classes eligible for dispatch under the current
+	// instantiated set.
+	eligible := func(t int) bool {
+		if prog.Types[t].Kind == ir.InterfaceKind || prog.Types[t].Abstract {
+			return false
+		}
+		return !rta || instantiated.Has(int32(t))
+	}
+
+	for {
+		changed := false
+		r.reachable.ForEach(func(mi int32) {
+			mm := &prog.Methods[mi]
+			if rta {
+				for _, a := range mm.Allocs {
+					if instantiated.Add(int32(prog.HeapType(a.Heap))) {
+						changed = true
+					}
+				}
+			}
+			for ci := range mm.Calls {
+				c := &mm.Calls[ci]
+				switch c.Kind {
+				case ir.Direct:
+					if addEdge(c.Invo, c.Target) {
+						changed = true
+					}
+					if r.reachable.Add(int32(c.Target)) {
+						changed = true
+					}
+				case ir.Virtual:
+					for t := 0; t < prog.NumTypes(); t++ {
+						if !eligible(t) {
+							continue
+						}
+						if m := prog.Lookup(ir.TypeID(t), c.Sig); m != ir.None {
+							if addEdge(c.Invo, m) {
+								changed = true
+							}
+							if r.reachable.Add(int32(m)) {
+								changed = true
+							}
+						}
+					}
+				}
+			}
+		})
+		if !changed {
+			return r
+		}
 	}
 }

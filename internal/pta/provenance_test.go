@@ -29,41 +29,51 @@ func solveProv(t testing.TB, prog *ir.Program, analysis string) *Result {
 // TestProvenanceDoesNotChangeResults asserts that recording is
 // read-only: a solve with the recorder on has the same facts,
 // reachability, call graph and work count as one with it off, and
-// exactly one recorded source per derivation.
+// exactly one recorded source per derivation. Besides random programs
+// it checks jython insens, the solve BenchmarkProvenance times, where
+// the recorder witnesses millions of facts.
 func TestProvenanceDoesNotChangeResults(t *testing.T) {
+	type solve struct {
+		label, analysis string
+		prog            *ir.Program
+	}
+	var solves []solve
 	for seed := int64(1); seed <= 20; seed++ {
 		prog := randprog.Generate(seed, randprog.Default())
 		for _, analysis := range []string{"insens", "2objH", "1call"} {
-			plain, err := Analyze(context.Background(), prog, analysis, Options{Budget: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			prov := solveProv(t, prog, analysis)
-			label := fmt.Sprintf("seed %d %s", seed, analysis)
-			if a, b := plain.VarPTSize(), prov.VarPTSize(); a != b {
-				t.Errorf("%s: VarPTSize %d (plain) != %d (provenance)", label, a, b)
-			}
-			if a, b := plain.FieldPTSize(), prov.FieldPTSize(); a != b {
-				t.Errorf("%s: FieldPTSize %d != %d", label, a, b)
-			}
-			if a, b := plain.Work, prov.Work; a != b {
-				t.Errorf("%s: Work %d != %d", label, a, b)
-			}
-			if a, b := plain.Derivations, prov.Derivations; a != b {
-				t.Errorf("%s: Derivations %d != %d", label, a, b)
-			}
-			if a, b := plain.NumReachableMethods(), prov.NumReachableMethods(); a != b {
-				t.Errorf("%s: reachable %d != %d", label, a, b)
-			}
-			if a, b := plain.NumCallGraphEdges(), prov.NumCallGraphEdges(); a != b {
-				t.Errorf("%s: cg edges %d != %d", label, a, b)
-			}
-			if got, want := prov.NumProvenanceFacts(), int(prov.Derivations); got != want {
-				t.Errorf("%s: %d provenance records, want one per derivation (%d)", label, got, want)
-			}
-			if plain.ProvenanceEnabled() {
-				t.Errorf("%s: plain run claims provenance", label)
-			}
+			solves = append(solves, solve{fmt.Sprintf("seed %d %s", seed, analysis), analysis, prog})
+		}
+	}
+	solves = append(solves, solve{"jython insens", "insens", suite.MustLoad("jython")})
+	for _, c := range solves {
+		plain, err := Analyze(context.Background(), c.prog, c.analysis, Options{Budget: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prov := solveProv(t, c.prog, c.analysis)
+		if a, b := plain.VarPTSize(), prov.VarPTSize(); a != b {
+			t.Errorf("%s: VarPTSize %d (plain) != %d (provenance)", c.label, a, b)
+		}
+		if a, b := plain.FieldPTSize(), prov.FieldPTSize(); a != b {
+			t.Errorf("%s: FieldPTSize %d != %d", c.label, a, b)
+		}
+		if a, b := plain.Work, prov.Work; a != b {
+			t.Errorf("%s: Work %d != %d", c.label, a, b)
+		}
+		if a, b := plain.Derivations, prov.Derivations; a != b {
+			t.Errorf("%s: Derivations %d != %d", c.label, a, b)
+		}
+		if a, b := plain.NumReachableMethods(), prov.NumReachableMethods(); a != b {
+			t.Errorf("%s: reachable %d != %d", c.label, a, b)
+		}
+		if a, b := plain.NumCallGraphEdges(), prov.NumCallGraphEdges(); a != b {
+			t.Errorf("%s: cg edges %d != %d", c.label, a, b)
+		}
+		if got, want := prov.NumProvenanceFacts(), int(prov.Derivations); got != want {
+			t.Errorf("%s: %d provenance records, want one per derivation (%d)", c.label, got, want)
+		}
+		if plain.ProvenanceEnabled() {
+			t.Errorf("%s: plain run claims provenance", c.label)
 		}
 	}
 }

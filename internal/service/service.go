@@ -258,10 +258,18 @@ func (s *Service) Analyze(ctx context.Context, req Request) (*analysis.RunJSON, 
 // pipeline callbacks (streaming uses this to feed events). Cache hits
 // and deduplicated waits produce no callbacks — there is no solve to
 // observe.
-func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Observer) (*analysis.RunJSON, *Error) {
+func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Observer) (_ *analysis.RunJSON, serr *Error) {
 	s.metrics.add(&s.metrics.requests)
+	// Every 504 is counted here, once. The detached solve runs under
+	// the same deadline, so it fails with it; counting there as well
+	// would count one expiry twice.
+	defer func() {
+		if serr != nil && serr.Code == CodeDeadline {
+			s.metrics.add(&s.metrics.timeouts)
+		}
+	}()
 
-	req, serr := s.validate(req)
+	req, serr = s.validate(req)
 	if serr != nil {
 		s.metrics.add(&s.metrics.rejectedInvalid)
 		return nil, serr
@@ -365,7 +373,6 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 			case owner:
 				return nil, f.err
 			case ctx.Err() != nil:
-				s.metrics.add(&s.metrics.timeouts)
 				return nil, errf(CodeDeadline, "deadline expired waiting for identical in-flight request")
 			default:
 				// The owner failed but this request's deadline is still
@@ -376,7 +383,6 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 				continue
 			}
 		case <-ctx.Done():
-			s.metrics.add(&s.metrics.timeouts)
 			if first {
 				return nil, errf(CodeDeadline, "deadline expired waiting for identical in-flight request")
 			}
@@ -398,7 +404,6 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 	case <-ctx.Done():
 		s.metrics.mu.Lock()
 		s.metrics.queued--
-		s.metrics.timeouts++
 		s.metrics.mu.Unlock()
 		return nil, errf(CodeDeadline, "deadline expired waiting for a worker")
 	}
@@ -481,7 +486,6 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 			// Deterministic, reportable outcome (the paper's TIMEOUT
 			// rows): fall through and cache it like a success.
 		case ctx.Err() != nil:
-			s.metrics.add(&s.metrics.timeouts)
 			return nil, errf(CodeDeadline, "deadline expired after %s", deadlineStage(res))
 		default:
 			s.metrics.add(&s.metrics.internalErrs)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"introspect/internal/analysis"
 	"introspect/internal/ir"
@@ -87,50 +88,57 @@ func TestCacheHitEqualsColdSolve(t *testing.T) {
 	}
 }
 
-// TestSingleFlightHammer fires many identical concurrent requests and
-// checks exactly one solve happened; run under -race this also
-// exercises the flight/cache locking.
+// TestSingleFlightHammer fires identical concurrent requests at a grid
+// of keys — three programs under three specs, three requests per key —
+// and checks exactly one solve per key: 9 misses and 9 solves, and the
+// other 18 requests served as hits or dedups, a hit ratio of 2/3. Run
+// under -race this also exercises the flight/cache locking.
 func TestSingleFlightHammer(t *testing.T) {
 	svc := service.MustNew(service.Config{Workers: 2, QueueDepth: 64})
-	src := irText(t, randprog.Generate(4, randprog.Default()))
-	req := service.Request{Lang: "ir", Source: src, Job: analysis.Job{Spec: "2objH-IntroA"}, Budget: -1}
+	var reqs []service.Request
+	for seed := int64(1); seed <= 3; seed++ {
+		src := irText(t, randprog.Generate(seed, randprog.Default()))
+		for _, spec := range []string{"insens", "2objH", "2objH-IntroA"} {
+			req := service.Request{Lang: "ir", Name: fmt.Sprintf("p%d", seed), Source: src, Job: analysis.Job{Spec: spec}, Budget: -1}
+			reqs = append(reqs, req, req, req)
+		}
+	}
 
-	const n = 32
 	var wg sync.WaitGroup
-	responses := make([]*analysis.RunJSON, n)
-	errs := make([]*service.Error, n)
-	for i := 0; i < n; i++ {
+	responses := make([]*analysis.RunJSON, len(reqs))
+	errs := make([]*service.Error, len(reqs))
+	for i := range reqs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			responses[i], errs[i] = svc.Analyze(context.Background(), req)
+			responses[i], errs[i] = svc.Analyze(context.Background(), reqs[i])
 		}(i)
 	}
 	wg.Wait()
 
-	want := ""
+	docs := map[string]string{} // program and spec → canonical document
 	counts := map[string]int{}
-	for i := 0; i < n; i++ {
+	for i, req := range reqs {
 		if errs[i] != nil {
 			t.Fatalf("request %d: %v", i, errs[i])
 		}
 		counts[responses[i].Cache]++
-		c := canonical(t, responses[i])
-		if want == "" {
-			want = c
+		key, c := req.Name+" "+req.Job.Spec, canonical(t, responses[i])
+		if want, ok := docs[key]; !ok {
+			docs[key] = c
 		} else if c != want {
-			t.Fatalf("request %d returned a different document", i)
+			t.Fatalf("request %d (%s) returned a different document", i, key)
 		}
 	}
 	m := svc.Metrics()
-	if m.Solves != 1 {
-		t.Errorf("solves = %d, want 1 (single-flight broken); cache labels: %v", m.Solves, counts)
+	if m.Solves != 9 || m.Cache.Misses != 9 {
+		t.Errorf("solves = %d, misses = %d, want 9 each (single-flight broken); cache labels: %v", m.Solves, m.Cache.Misses, counts)
 	}
-	if counts["miss"] != 1 {
-		t.Errorf("miss count = %d, want 1; labels: %v", counts["miss"], counts)
+	if counts["miss"] != 9 {
+		t.Errorf("miss count = %d, want 9; labels: %v", counts["miss"], counts)
 	}
-	if counts["hit"]+counts["dedup"] != n-1 {
-		t.Errorf("hit+dedup = %d, want %d; labels: %v", counts["hit"]+counts["dedup"], n-1, counts)
+	if counts["hit"]+counts["dedup"] != 18 {
+		t.Errorf("hit+dedup = %d, want 18; labels: %v", counts["hit"]+counts["dedup"], counts)
 	}
 }
 
@@ -286,8 +294,13 @@ func TestDeadline(t *testing.T) {
 	if serr == nil || serr.Code != service.CodeDeadline {
 		t.Fatalf("error = %v, want code deadline", serr)
 	}
-	if m := svc.Metrics(); m.Timeouts == 0 {
-		t.Error("timeouts metric never incremented")
+	// The detached solve runs on under the same deadline and fails with
+	// it; wait for it to finish, so a second count would show.
+	for m := svc.Metrics(); m.Queue.Depth != 0 || m.Queue.InFlight != 0; m = svc.Metrics() {
+		time.Sleep(time.Millisecond)
+	}
+	if m := svc.Metrics(); m.Timeouts != 1 {
+		t.Errorf("timeouts = %d, want 1 (one 504)", m.Timeouts)
 	}
 
 	// Deadline expiry is wall-clock nondeterminism: it must NOT be

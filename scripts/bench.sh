@@ -1,138 +1,60 @@
 #!/bin/sh
-# bench.sh — run the end-to-end figure benchmarks (one full figure
-# regeneration per iteration) and record the results as a dated JSON
-# file, BENCH_<date>.json, in the repo root.
+# bench.sh — record the benchmark ledger through perfbench (see
+# perfbench/README.md): each workload for seeds 1-3, tracing off and on.
+# BENCH_<date>.json gets paper-figs and lint-prov, SLO_<date>.json
+# ptad-sweep: the date, commit, Go version and perfbench command, and
+# per run its workload, seed, trace setting and result line, verbatim.
 #
-# Each benchmark reports, besides wall time, the figure's aggregate
-# solver metrics: total work units (the deterministic time proxy),
-# the peak points-to-set size, and the number of TIMEOUT runs. The
-# work/peakpt/timeouts numbers are bit-deterministic — only ns_op
-# varies across machines and runs, which is what makes the JSON
-# comparable across commits.
+# Nothing is written unless every run exits 0 with "correct":true
+# (perfbench exits 0 even when an output check fails) and the traced
+# paper-figs median trace.wall_s is at most 1.25x the untraced wall_s.
 #
-# The Provenance/off and Provenance/on pair additionally records the
-# derivation-witness recorder's solver overhead. Both propagate through
-# the same word-level kernels, so the deterministic gate is that they
-# report the same work and that "on" witnesses a non-zero number of
-# facts; Provenance/off should also stay within noise of historical Fig
-# runs (the disabled recorder costs a nil check per edge push and per
-# word of new bits).
-#
-# The CutShortcut/{insens,cs,2objH} trio records the cut-shortcut
-# analysis's cost against its two reference points over all nine
-# benchmarks: cs work must sit near the insensitive floor (the edits
-# are the only overhead) and far below 2objH's budget-capped total.
-#
-# The Fig5 and Fig5Traced pair is the tracing overhead gate: with the
-# observability layer on (stage spans + sampled solver snapshots) the
-# deterministic work/peakpt/timeouts metrics must be IDENTICAL to the
-# untraced run (observers are read-only), the untraced run's work must
-# match the most recent committed BENCH_*.json (tracing support cost
-# the disabled path nothing), and traced wall time must stay within
-# noise. Set BENCH_GATE=off to record numbers without enforcing.
-#
-# The Taint row regenerates Figure 9 (the taint client over the
-# kernel-grafted suite) and records its deterministic work, timeout,
-# report and false-positive totals alongside wall time.
-#
-# Usage: scripts/bench.sh [count]   (default: 3 runs per figure)
+# Usage: scripts/bench.sh   (about 9 minutes on a 2-CPU machine)
 
 set -eu
 cd "$(dirname "$0")/.."
+[ $# -eq 0 ] || { echo "usage: scripts/bench.sh" >&2; exit 2; }
 
-count=${1:-3}
-out="BENCH_$(date +%Y-%m-%d).json"
-raw=$(mktemp)
-trap 'rm -f "$raw"' EXIT
+day=$(date +%Y-%m-%d)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
-# Baseline Fig5 work from the newest recorded bench file (possibly
-# about to be overwritten), captured before the run.
-prev_work=""
-prev=$(ls BENCH_*.json 2>/dev/null | sort | tail -n1 || true)
-if [ -n "$prev" ]; then
-    prev_work=$(grep -o '"Fig5": \[[^]]*\]' "$prev" | grep -o '"work": [0-9]*' | head -n1 | grep -o '[0-9]*' || true)
-fi
-
-go test -bench='Fig|Provenance|CutShortcut|Taint' -benchtime=1x -count="$count" -run '^$' . | tee "$raw"
-
-if [ "${BENCH_GATE:-on}" != "off" ]; then
-    awk '
-    /^BenchmarkProvenance\/(on|off)([-\t ]|$)/ {
-        mode = ($1 ~ /^BenchmarkProvenance\/on/) ? "on" : "off"
-        seen[mode] = 1
-        w = ""; wit = ""
-        for (i = 3; i < NF; i += 2) {
-            if ($(i+1) == "work") w = $i
-            if ($(i+1) == "witnessed") wit = $i
-        }
-        if (ref == "") ref = w
-        if (w != ref) {
-            printf "bench gate: FAIL: Provenance/%s work %s differs from %s\n", mode, w, ref; bad = 1
-        }
-        if (mode == "on" && wit + 0 == 0) {
-            print "bench gate: FAIL: Provenance/on witnessed no facts"; bad = 1
-        }
-        if (mode == "on") witnessed = wit
-    }
-    END {
-        if (!seen["on"] || !seen["off"]) {
-            print "bench gate: FAIL: Provenance/on or Provenance/off rows missing from output"; exit 1
-        }
-        if (bad) exit 1
-        printf "bench gate: OK: provenance on/off work identical (%s), %s facts witnessed\n", ref, witnessed
-    }' "$raw"
-
-    awk -v prev_work="$prev_work" '
-    /^BenchmarkFig5(Traced)?([-\t ]|$)/ {
-        name = $1
-        sub(/^Benchmark/, "", name)
-        sub(/-[0-9]+$/, "", name)
-        if (!(name in minns) || $3 < minns[name]) minns[name] = $3
-        for (i = 3; i < NF; i += 2) if ($(i+1) == "work") work[name] = $i
-    }
-    END {
-        if (!("Fig5" in minns) || !("Fig5Traced" in minns)) {
-            print "bench gate: FAIL: Fig5/Fig5Traced rows missing from output"; exit 1
-        }
-        if (work["Fig5"] != work["Fig5Traced"]) {
-            printf "bench gate: FAIL: tracing changed solver work (%s vs %s)\n", work["Fig5"], work["Fig5Traced"]; exit 1
-        }
-        if (prev_work != "" && work["Fig5"] != prev_work) {
-            printf "bench gate: FAIL: Fig5 work %s drifted from recorded baseline %s\n", work["Fig5"], prev_work; exit 1
-        }
-        ratio = minns["Fig5Traced"] / minns["Fig5"]
-        # %.0f, not %d: ns/op exceeds 32-bit int in some awks (mawk).
-        printf "bench gate: OK: work identical (%s), sampled tracing wall overhead x%.3f (min ns/op %.0f -> %.0f)\n", \
-            work["Fig5"], ratio, minns["Fig5"], minns["Fig5Traced"]
-        if (ratio > 1.25) {
-            print "bench gate: FAIL: traced run more than 1.25x slower than untraced"; exit 1
-        }
-    }' "$raw"
-fi
-
-awk -v date="$(date +%Y-%m-%d)" -v count="$count" -v gover="$(go env GOVERSION)" '
-/^Benchmark/ {
-    name = $1
-    sub(/^Benchmark/, "", name)
-    sub(/-[0-9]+$/, "", name)
-    entry = "{\"iters\": " $2
-    for (i = 3; i < NF; i += 2) {
-        unit = $(i + 1)
-        gsub(/\//, "_", unit)
-        gsub(/%/, "_pct", unit)
-        entry = entry ", \"" unit "\": " $i
-    }
-    entry = entry "}"
-    if (!(name in runs)) order[++n] = name
-    runs[name] = runs[name] (runs[name] == "" ? "" : ", ") entry
+# ledger FILE WORKLOAD... runs the workloads into $tmp/FILE; each result
+# line also goes to $tmp/<workload>.<trace> for the gate.
+ledger() {
+    file=$1
+    shift
+    for w in "$@"; do
+        for trace in 0 1; do
+            for seed in 1 2 3; do
+                echo "bench: $w seed $seed trace $trace" >&2
+                if ! bash perfbench/run.sh --workload "$w" --seed "$seed" --seconds 28 --trace "$trace" >"$tmp/out" ||
+                    ! tail -n 1 "$tmp/out" | grep -q '^{"correct":true'; then
+                    cat "$tmp/out" >&2
+                    echo "bench: FAIL: $w seed $seed trace $trace" >&2
+                    exit 1
+                fi
+                tail -n 1 "$tmp/out" | tee -a "$tmp/$w.$trace" |
+                    sed "s/^/    {\"workload\": \"$w\", \"seed\": $seed, \"trace\": $trace, \"result\": /; s/\$/},/" >>"$tmp/$file.runs"
+            done
+        done
+    done
+    printf '{\n  "date": "%s",\n  "commit": "%s",\n  "go": "%s",\n  "command": "%s",\n  "runs": [\n' "$day" "$(git rev-parse HEAD)" \
+        "$(go env GOVERSION)" "bash perfbench/run.sh --workload <workload> --seed <seed> --seconds 28 --trace <trace>" >"$tmp/$file"
+    sed '$ s/,$//' "$tmp/$file.runs" >>"$tmp/$file"
+    printf '  ]\n}\n' >>"$tmp/$file"
 }
-END {
-    printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"count\": %s,\n  \"benchmarks\": {\n", date, gover, count
-    for (i = 1; i <= n; i++) {
-        name = order[i]
-        printf "    \"%s\": [%s]%s\n", name, runs[name], (i < n ? "," : "")
-    }
-    printf "  }\n}\n"
-}' "$raw" >"$out"
 
-echo "wrote $out"
+ledger BENCH.json paper-figs lint-prov
+ledger SLO.json ptad-sweep
+
+# median FILE KEY prints the middle of the three KEY values in FILE.
+median() { sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p" "$1" | sort -n | sed -n 2p; }
+awk -v t="$(median "$tmp/paper-figs.1" trace.wall_s)" -v u="$(median "$tmp/paper-figs.0" wall_s)" 'BEGIN {
+    printf "bench gate: paper-figs traced/untraced wall x%.3f (median %s s / %s s)\n", t / u, t, u
+    if (t / u > 1.25) { print "bench gate: FAIL: tracing costs more than 1.25x"; exit 1 }
+}'
+
+mv "$tmp/BENCH.json" "BENCH_$day.json"
+mv "$tmp/SLO.json" "SLO_$day.json"
+echo "wrote BENCH_$day.json SLO_$day.json"

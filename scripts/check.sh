@@ -26,6 +26,9 @@ go test ./...
 # it; vet and test it here so an API change that breaks the benchmark
 # fails the gate, not only the bench pipeline.
 (cd perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
+# scripts/bench.sh holds the tracing wall-time gate but runs only by
+# hand (make bench), so check at least that it parses.
+sh -n scripts/bench.sh
 go test -race ./internal/analysis ./internal/pta ./internal/cutshortcut ./internal/checkers ./internal/service ./internal/obs
 
 # Trace-export smoke test (same commands as `make trace-smoke`): solve
