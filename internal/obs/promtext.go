@@ -81,53 +81,28 @@ func (l Labels) encode(extra ...string) string {
 	return sb.String()
 }
 
-// Counter emits one unlabeled counter.
-func (p *PromWriter) Counter(name, help string, v float64) {
+// CounterFamily starts a counter metric family; emit each series with
+// Family.Series. The family writes its HELP/TYPE header once, so an
+// empty family (no series) is still a well-formed exposition entry.
+func (p *PromWriter) CounterFamily(name, help string) *Family {
 	p.header(name, help, "counter")
-	p.printf("%s %s\n", name, formatValue(v))
+	return &Family{p: p, name: name}
 }
 
-// Gauge emits one unlabeled gauge.
-func (p *PromWriter) Gauge(name, help string, v float64) {
+// GaugeFamily starts a gauge metric family, as CounterFamily does.
+func (p *PromWriter) GaugeFamily(name, help string) *Family {
 	p.header(name, help, "gauge")
-	p.printf("%s %s\n", name, formatValue(v))
+	return &Family{p: p, name: name}
 }
 
-// CounterFamily starts a labeled counter metric family; emit each
-// labeled series with Series. The family writes its HELP/TYPE header
-// once, so an empty family (no series) is still a well-formed
-// exposition entry.
-func (p *PromWriter) CounterFamily(name, help string) *CounterFamily {
-	p.header(name, help, "counter")
-	return &CounterFamily{p: p, name: name}
-}
-
-// CounterFamily emits the series of one labeled counter family.
-type CounterFamily struct {
+// Family emits the series of one counter or gauge family.
+type Family struct {
 	p    *PromWriter
 	name string
 }
 
-// Series emits one labeled counter sample.
-func (f *CounterFamily) Series(labels Labels, v float64) {
-	f.p.printf("%s%s %s\n", f.name, labels.encode(), formatValue(v))
-}
-
-// GaugeFamily starts a labeled gauge metric family; emit each labeled
-// series with Series. The family writes its HELP/TYPE header once.
-func (p *PromWriter) GaugeFamily(name, help string) *GaugeFamily {
-	p.header(name, help, "gauge")
-	return &GaugeFamily{p: p, name: name}
-}
-
-// GaugeFamily emits the series of one labeled gauge family.
-type GaugeFamily struct {
-	p    *PromWriter
-	name string
-}
-
-// Series emits one labeled gauge sample.
-func (f *GaugeFamily) Series(labels Labels, v float64) {
+// Series emits one sample; nil labels give the unlabeled sample.
+func (f *Family) Series(labels Labels, v float64) {
 	f.p.printf("%s%s %s\n", f.name, labels.encode(), formatValue(v))
 }
 

@@ -11,8 +11,8 @@ import (
 func TestPromWriterGolden(t *testing.T) {
 	var sb strings.Builder
 	p := NewPromWriter(&sb)
-	p.Counter("ptad_requests_total", "Total requests.", 3)
-	p.Gauge("ptad_in_flight", "Solves holding a worker slot.", 2)
+	p.CounterFamily("ptad_requests_total", "Total requests.").Series(nil, 3)
+	p.GaugeFamily("ptad_in_flight", "Solves holding a worker slot.").Series(nil, 2)
 	h := p.HistogramFamily("stage_ms", "Stage wall time.")
 	h.Series(Labels{"stage": "main-pass"}, []float64{1, 5}, []uint64{2, 1, 1}, 12.5, 4)
 	if err := p.Err(); err != nil {

@@ -83,8 +83,8 @@ func wantsPrometheus(r *http.Request) bool {
 func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	req, serr := ptav1.DecodeAnalyze(r, s.maxBody())
 	if serr != nil {
-		s.metrics.add(&s.metrics.requests)
-		s.metrics.add(&s.metrics.rejectedInvalid)
+		s.metrics.add(&s.metrics.doc.Requests)
+		s.metrics.add(&s.metrics.doc.Rejected.Invalid)
 		writeError(w, serr)
 		return
 	}
@@ -118,7 +118,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if serr := ptav1.DecodeJSON(r.Body, s.maxBody(), &req, "batch"); serr != nil {
-		s.metrics.add(&s.metrics.rejectedInvalid)
+		s.metrics.add(&s.metrics.doc.Rejected.Invalid)
 		writeError(w, serr)
 		return
 	}

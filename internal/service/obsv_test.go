@@ -202,6 +202,54 @@ func TestMemoryTelemetry(t *testing.T) {
 	}
 }
 
+// stallWriter signals on its first Write, then blocks every Write
+// until release is closed: a /metrics client that stopped reading.
+type stallWriter struct {
+	once             sync.Once
+	started, release chan struct{}
+}
+
+func (w *stallWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.started) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestBlockedMetricsWriterDoesNotStallRequests: the exposition is
+// written without holding the metrics lock, so a scraper that stops
+// reading cannot stall the requests that update the counters.
+func TestBlockedMetricsWriterDoesNotStallRequests(t *testing.T) {
+	svc := service.MustNew(service.Config{Workers: 1})
+	src := holderMJ(t)
+	w := &stallWriter{started: make(chan struct{}), release: make(chan struct{})}
+	written := make(chan error, 1)
+	go func() { written <- svc.WritePrometheus(w) }()
+	<-w.started
+
+	analyzed := make(chan *service.Error, 1)
+	go func() {
+		_, serr := svc.Analyze(context.Background(), service.Request{Name: "holder", Source: src, Job: analysis.Job{Spec: "insens"}})
+		analyzed <- serr
+	}()
+	stalled := false
+	select {
+	case serr := <-analyzed:
+		if serr != nil {
+			t.Error(serr)
+		}
+	case <-time.After(5 * time.Second):
+		stalled = true
+		t.Error("Analyze stalled behind a blocked /metrics writer")
+	}
+	close(w.release)
+	if err := <-written; err != nil {
+		t.Error(err)
+	}
+	if stalled {
+		<-analyzed // released together with the writer
+	}
+}
+
 // TestTraceOnResponse: trace=1 attaches a Chrome trace document
 // covering this request's handling — stage spans when it solved, just
 // the lookup when it hit — without disturbing the cached document.

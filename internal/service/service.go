@@ -259,19 +259,23 @@ func (s *Service) Analyze(ctx context.Context, req Request) (*analysis.RunJSON, 
 // and deduplicated waits produce no callbacks — there is no solve to
 // observe.
 func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Observer) (_ *analysis.RunJSON, serr *Error) {
-	s.metrics.add(&s.metrics.requests)
-	// Every 504 is counted here, once. The detached solve runs under
-	// the same deadline, so it fails with it; counting there as well
-	// would count one expiry twice.
+	s.metrics.add(&s.metrics.doc.Requests)
+	// Every 400 and 504 is counted here, once per request. Both can
+	// come out of the detached solve: a source that does not parse, and
+	// the deadline, which the solve shares with this request. Counting
+	// there would miss the waiters' 400s and count one expiry twice.
 	defer func() {
-		if serr != nil && serr.Code == CodeDeadline {
-			s.metrics.add(&s.metrics.timeouts)
+		switch {
+		case serr == nil:
+		case serr.Code == CodeDeadline:
+			s.metrics.add(&s.metrics.doc.Timeouts)
+		case serr.Code == CodeBadRequest:
+			s.metrics.add(&s.metrics.doc.Rejected.Invalid)
 		}
 	}()
 
 	req, serr = s.validate(req)
 	if serr != nil {
-		s.metrics.add(&s.metrics.rejectedInvalid)
 		return nil, serr
 	}
 	reqInfoFrom(ctx).set(func(ri *reqInfo) {
@@ -287,7 +291,6 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 
 	canon, err := req.Job.Canonical()
 	if err != nil {
-		s.metrics.add(&s.metrics.rejectedInvalid)
 		return nil, errf(CodeBadRequest, "encoding job: %v", err)
 	}
 	pk := progKey(req.Lang, req.Name, req.Source)
@@ -303,7 +306,7 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 	// own, still-live deadline instead of inheriting the failure.
 	for first := true; ; first = false {
 		if resp, ok := s.results.get(key); ok {
-			s.metrics.add(&s.metrics.cacheHits)
+			s.metrics.add(&s.metrics.doc.Cache.Hits)
 			// A memory hit is a logical hit on the durable entry too:
 			// refresh its recency so the on-disk LRU (and the
 			// mtime-ordered index a restart rebuilds) tracks real access
@@ -315,12 +318,12 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 		// previous incarnation sharing the cache dir — is a hit too.
 		// Promote it to the memory LRU so repeats skip the file read.
 		if doc, corrupt := s.store.get(key); doc != nil {
-			s.metrics.add(&s.metrics.cacheHits)
-			s.metrics.add(&s.metrics.diskHits)
+			s.metrics.add(&s.metrics.doc.Cache.Hits)
+			s.metrics.add(&s.metrics.doc.Disk.Hits)
 			s.results.put(key, doc)
 			return s.finish(ctx, doc, req, "hit"), nil
 		} else if corrupt {
-			s.metrics.add(&s.metrics.diskCorrupt)
+			s.metrics.add(&s.metrics.doc.Disk.Corrupt)
 		}
 
 		s.mu.Lock()
@@ -328,7 +331,7 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 		if f == nil {
 			if s.pending >= s.cfg.Workers+s.cfg.QueueDepth {
 				s.mu.Unlock()
-				s.metrics.add(&s.metrics.rejectedLoad)
+				s.metrics.add(&s.metrics.doc.Rejected.Overload)
 				return nil, errf(CodeOverloaded, "at capacity: %d in flight or queued (workers=%d queue=%d)",
 					s.cfg.Workers+s.cfg.QueueDepth, s.cfg.Workers, s.cfg.QueueDepth)
 			}
@@ -340,7 +343,7 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 		s.mu.Unlock()
 
 		if owner {
-			s.metrics.add(&s.metrics.cacheMisses)
+			s.metrics.add(&s.metrics.doc.Cache.Misses)
 			// The solve runs detached from the owning connection (but
 			// under the same absolute deadline): if the owner
 			// disconnects, the requests deduplicated behind it still get
@@ -349,7 +352,7 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 			dl, _ := ctx.Deadline()
 			solveCtx, cancel := context.WithDeadline(context.WithoutCancel(ctx), dl)
 			s.metrics.mu.Lock()
-			s.metrics.queued++
+			s.metrics.doc.Queue.Depth++
 			s.metrics.mu.Unlock()
 			go func() {
 				defer cancel()
@@ -368,7 +371,7 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 			case f.err == nil && owner:
 				return s.finish(ctx, f.resp, req, "miss"), nil
 			case f.err == nil:
-				s.metrics.add(&s.metrics.dedups)
+				s.metrics.add(&s.metrics.doc.Cache.Dedup)
 				return s.finish(ctx, f.resp, req, "dedup"), nil
 			case owner:
 				return nil, f.err
@@ -403,7 +406,7 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 	case s.slots <- struct{}{}:
 	case <-ctx.Done():
 		s.metrics.mu.Lock()
-		s.metrics.queued--
+		s.metrics.doc.Queue.Depth--
 		s.metrics.mu.Unlock()
 		return nil, errf(CodeDeadline, "deadline expired waiting for a worker")
 	}
@@ -413,13 +416,13 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 	// lines carry none.
 	reqInfoFrom(ctx).set(func(ri *reqInfo) { ri.queueMS = time.Since(enqueued).Milliseconds() })
 	s.metrics.mu.Lock()
-	s.metrics.queued--
-	s.metrics.inFlight++
+	s.metrics.doc.Queue.Depth--
+	s.metrics.doc.Queue.InFlight++
 	s.metrics.mu.Unlock()
 	defer func() {
 		<-s.slots
 		s.metrics.mu.Lock()
-		s.metrics.inFlight--
+		s.metrics.doc.Queue.InFlight--
 		s.metrics.mu.Unlock()
 	}()
 
@@ -432,7 +435,7 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 	// Heartbeats (GET /v1/flights) and memory telemetry always; trace
 	// spans when the service has a tracer. One track per solve keeps
 	// concurrent requests on separate lanes in the viewer.
-	observer := analysis.Observers(fl.observer(), allocObserver(s.metrics))
+	observer := analysis.Observers(fl.observer(), s.metrics.observer())
 	if s.cfg.Tracer != nil {
 		track := s.cfg.Tracer.NewTrack(fmt.Sprintf("#%d %s %s", fl.id, req.Name, req.Job.Spec))
 		observer = analysis.Observers(observer, analysis.TrackObserver(track))
@@ -465,19 +468,11 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 	if first := entry.sharedFirst(); first != nil && req.Job.Taint == nil && req.Job.NeedsPrePass() &&
 		(!req.Provenance || first.ProvenanceEnabled()) {
 		areq.First = first
-		s.metrics.add(&s.metrics.prePassShared)
+		s.metrics.add(&s.metrics.doc.PrePassShared)
 	}
 
 	res, runErr := analysis.Run(ctx, areq)
-	s.metrics.add(&s.metrics.solves)
-	if res != nil {
-		for _, st := range res.Stages {
-			s.metrics.observeStage(st.Stage, st.Wall)
-		}
-		if res.Selection != nil {
-			s.metrics.observeDecisions(res.Selection.Decisions)
-		}
-	}
+	s.metrics.add(&s.metrics.doc.Solves)
 
 	if runErr != nil {
 		var be *analysis.BudgetExceededError
@@ -488,7 +483,7 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 		case ctx.Err() != nil:
 			return nil, errf(CodeDeadline, "deadline expired after %s", deadlineStage(res))
 		default:
-			s.metrics.add(&s.metrics.internalErrs)
+			s.metrics.add(&s.metrics.doc.InternalErrs)
 			return nil, errf(CodeInternal, "%v", runErr)
 		}
 	}
@@ -511,7 +506,7 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 	// correctness; the memory cache already has the entry.
 	if s.store != nil {
 		if err := s.store.put(key, resp); err == nil {
-			s.metrics.add(&s.metrics.diskWrites)
+			s.metrics.add(&s.metrics.doc.Disk.Writes)
 		}
 	}
 	return resp, nil

@@ -227,8 +227,9 @@ func TestValidation(t *testing.T) {
 	if serr == nil || serr.Code != service.CodeBadRequest {
 		t.Errorf("parse failure: error = %v, want code bad_request", serr)
 	}
-	if m := svc.Metrics(); m.Rejected.Invalid == 0 {
-		t.Error("rejected.invalid metric never incremented")
+	// Each of the 6 rows and the parse failure counts once.
+	if m := svc.Metrics(); m.Rejected.Invalid != 7 {
+		t.Errorf("rejected.invalid = %d, want 7", m.Rejected.Invalid)
 	}
 }
 

@@ -34,12 +34,12 @@ func (s *Service) streamAnalyze(w http.ResponseWriter, r *http.Request, req Requ
 	// re-validates the resolved request; validation is idempotent.
 	req, serr := s.validate(req)
 	if serr != nil {
-		s.metrics.add(&s.metrics.requests)
-		s.metrics.add(&s.metrics.rejectedInvalid)
+		s.metrics.add(&s.metrics.doc.Requests)
+		s.metrics.add(&s.metrics.doc.Rejected.Invalid)
 		writeError(w, serr)
 		return
 	}
-	s.metrics.add(&s.metrics.streams)
+	s.metrics.add(&s.metrics.doc.Streams)
 
 	// Events flow from the solver's goroutine through a buffered
 	// channel. The observer must never block the solve (the Observer
