@@ -22,13 +22,11 @@ type Options struct {
 	// propagation steps) before the run is abandoned. 0 means
 	// DefaultBudget; negative means unlimited.
 	Budget int64
-	// Progress, if non-nil, is called periodically from the worklist
-	// loop with the current work count — the hook the analysis layer's
-	// Observer uses for live progress reporting.
+	// Progress, if non-nil, is called from the worklist loop every
+	// DefaultProgressEvery work units with the current work count — the
+	// hook the analysis layer's Observer uses for live progress
+	// reporting.
 	Progress func(work int64)
-	// ProgressEvery is the minimum number of work units between
-	// Progress calls. 0 means DefaultProgressEvery.
-	ProgressEvery int64
 	// Snapshot, if non-nil, is called periodically from the worklist
 	// loop with a point-in-time Snapshot of the solve — the hook the
 	// observability layer uses for solver-level tracing and live
@@ -56,7 +54,7 @@ type Options struct {
 // 90-minute timeout.
 const DefaultBudget int64 = 150_000_000
 
-// DefaultProgressEvery is the default work-unit interval between
+// DefaultProgressEvery is the work-unit interval between
 // Options.Progress callbacks.
 const DefaultProgressEvery int64 = 1 << 22
 
@@ -240,7 +238,6 @@ type solver struct {
 	ctxErr       error
 	popCount     int
 	progress     func(work int64)
-	progEvery    int64
 	lastProg     int64
 	snapshot     func(Snapshot)
 	snapEvery    int64
@@ -276,12 +273,8 @@ func Solve(ctx context.Context, prog *ir.Program, strat Strategy, tab *Table, op
 		budget:      opts.budget(),
 		ctx:         ctx,
 		progress:    opts.Progress,
-		progEvery:   opts.ProgressEvery,
 		snapshot:    opts.Snapshot,
 		snapEvery:   opts.SnapshotEvery,
-	}
-	if s.progEvery <= 0 {
-		s.progEvery = DefaultProgressEvery
 	}
 	if s.snapEvery <= 0 {
 		s.snapEvery = DefaultSnapshotEvery
@@ -721,7 +714,7 @@ func (s *solver) linkCall(c *ir.Call, callerCtx Ctx, toMeth ir.MethodID, calleeC
 // interrupted is the per-iteration stop check of the worklist loop: the
 // deterministic work budget every pop, the context (cancellation or
 // deadline) every checkCtxEvery pops, and the optional progress
-// callback every progEvery work units.
+// callback every DefaultProgressEvery work units.
 func (s *solver) interrupted() bool {
 	if s.work > s.budget {
 		s.exceeded = true
@@ -734,7 +727,7 @@ func (s *solver) interrupted() bool {
 			return true
 		}
 	}
-	if s.progress != nil && s.work-s.lastProg >= s.progEvery {
+	if s.progress != nil && s.work-s.lastProg >= DefaultProgressEvery {
 		s.lastProg = s.work
 		s.progress(s.work)
 	}
