@@ -29,6 +29,15 @@ var msColumn = regexp.MustCompile(`(?m) +\d+$`)
 //	go test ./cmd/introbench -run Fig5Golden -args -update
 func TestFig5Golden(t *testing.T) { testFigGolden(t, "5", "fig5.golden") }
 
+// TestFig4Golden pins Figure 4, the share of call sites and objects
+// each heuristic leaves unrefined. The table has no timing column, so
+// the comparison is byte-exact.
+//
+// Refresh after an intentional change with:
+//
+//	go test ./cmd/introbench -run Fig4Golden -args -update
+func TestFig4Golden(t *testing.T) { testFigGolden(t, "4", "fig4.golden") }
+
 // TestFigCSGolden pins the cut-shortcut extension figure the same way:
 // the solver is deterministic, so the whole table (work units,
 // precision counters, timeout pattern) must reproduce byte-for-byte.
