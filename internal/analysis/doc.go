@@ -13,7 +13,7 @@
 //	pre-pass    the context-insensitive solver pass whose results feed
 //	            the introspection metrics
 //	metrics     the paper's six cost metrics over the pre-pass
-//	selection   a Selector (Heuristic A/B, a custom heuristic, or the
+//	selection   Heuristic A or B (or, in the syntactic baseline, the
 //	            traditional syntactic exclusions) chooses the
 //	            refinement-exclusion sets
 //	main-pass   the solver pass that produces the reported result —
@@ -25,9 +25,9 @@
 // pipeline frontend? -> main-pass -> report. An introspective analysis
 // ("2objH-IntroA") runs all stages; the syntactic baseline
 // ("2objH-syntactic") skips pre-pass and metrics, which is exactly the
-// paper's point about syntactic heuristics. Spec strings resolve
-// through a registry (RegisterVariant / Variants), so CLIs do not
-// switch on analysis names.
+// paper's point about syntactic heuristics. Spec strings are resolved
+// in one place (Variants lists the suffixes), so CLIs do not switch on
+// analysis names.
 //
 // # Jobs
 //
@@ -37,10 +37,8 @@
 // is what makes the analysis service (cmd/ptad) possible — the Job's
 // canonical encoding is part of the content-addressed result-cache
 // key, so two requests resolve to the same cached result exactly when
-// they would run the same analysis. In-process callers that need a
-// custom introspect.Heuristic implementation (which cannot serialize)
-// set Request.Selector instead; such requests bypass Job resolution
-// and are not expressible over the wire.
+// they would run the same analysis. Every pipeline is expressible as
+// a Job, so in-process callers and the wire reach the same analyses.
 //
 // # Cancellation and budgets
 //
@@ -59,8 +57,8 @@
 // Every stage produces a Stats record (wall time, derivations,
 // propagations, constraint-graph size, call-graph edges, contexts
 // created, peak points-to set size, ...) collected on the Result; an
-// optional Observer receives stage start/finish callbacks and periodic
-// solver progress. Stats marshals to stable JSON (cmd/pta -json).
+// optional Observer receives stage start/finish callbacks and sampled
+// solver snapshots. Stats marshals to stable JSON (cmd/pta -json).
 //
 // # Migration from the deleted direct entry points
 //
@@ -73,9 +71,9 @@
 //	                                              now pta.Solve(ctx, prog, pol, tab, opts)
 //	introspect.Run(prog, "2objH", h, opts)        Run(ctx, Request{Prog: prog,
 //	                                                  Job: Job{Spec: "2objH-IntroA"}, ...})
-//	                                              or, for a custom Heuristic h,
-//	                                                  Request{..., Job: Job{Spec: "2objH"},
-//	                                                  Selector: HeuristicSelector(h)}
+//	                                              or, for A with thresholds k, l, m,
+//	                                                  Job{Spec: "2objH-IntroA",
+//	                                                  Thresholds: &Thresholds{K: k, L: l, M: m}}
 //	  .First / .Selection / .Second               Result.First / Result.Selection / Result.Main
 //	introspect.RunSyntactic(prog, deep, so, o)    Run(ctx, Request{Prog: prog,
 //	                                                  Job: Job{Spec: deep, Syntactic: &so}, ...})

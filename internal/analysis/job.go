@@ -17,15 +17,12 @@ import (
 //
 // Job replaces the old Request.Spec / Request.Heuristic /
 // Request.Syntactic triple, whose interface-valued fields could not
-// cross a process boundary. Custom in-process heuristics (arbitrary
-// introspect.Heuristic implementations) go through Request.Selector or
-// RegisterVariant instead.
+// cross a process boundary.
 type Job struct {
 	// Spec names the analysis: "insens", "2objH", "1call", ... for a
 	// single pass, or "<deep>-<variant>" ("2objH-IntroA",
 	// "2callH-IntroB", "2objH-syntactic") for an introspective
-	// pipeline. Variants resolve through the registry (see
-	// RegisterVariant).
+	// pipeline. Variants lists the variant suffixes.
 	Spec string `json:"spec"`
 
 	// Thresholds, if non-nil, overrides the heuristic constants of the
@@ -81,37 +78,30 @@ type Thresholds struct {
 
 // heuristicA materializes Heuristic A from t, nil or zero fields
 // defaulting to the paper's constants.
-func (t *Thresholds) heuristicA() introspect.HeuristicA {
-	h := introspect.DefaultA()
-	if t == nil {
-		return h
+func (t *Thresholds) heuristicA() *introspect.Heuristic {
+	var o Thresholds
+	if t != nil {
+		o = *t
 	}
-	if t.K > 0 {
-		h.K = t.K
-	}
-	if t.L > 0 {
-		h.L = t.L
-	}
-	if t.M > 0 {
-		h.M = t.M
-	}
-	return h
+	return introspect.HeuristicA(or(o.K, introspect.DefaultK), or(o.L, introspect.DefaultL), or(o.M, introspect.DefaultM))
 }
 
 // heuristicB materializes Heuristic B from t, nil or zero fields
 // defaulting to the paper's constants.
-func (t *Thresholds) heuristicB() introspect.HeuristicB {
-	h := introspect.DefaultB()
-	if t == nil {
-		return h
+func (t *Thresholds) heuristicB() *introspect.Heuristic {
+	var o Thresholds
+	if t != nil {
+		o = *t
 	}
-	if t.P > 0 {
-		h.P = t.P
+	return introspect.HeuristicB(or(o.P, introspect.DefaultP), or(o.Q, introspect.DefaultQ))
+}
+
+// or returns v if it is positive, def otherwise.
+func or(v, def int) int {
+	if v > 0 {
+		return v
 	}
-	if t.Q > 0 {
-		h.Q = t.Q
-	}
-	return h
+	return def
 }
 
 // NeedsPrePass reports whether the job's pipeline includes a
@@ -119,8 +109,8 @@ func (t *Thresholds) heuristicB() introspect.HeuristicB {
 // injection applies to it. False for single-pass jobs, syntactic
 // baselines, and jobs that do not resolve at all.
 func (j Job) NeedsPrePass() bool {
-	_, sel, err := resolveJob(j, nil)
-	return err == nil && sel != nil && sel.NeedsPrePass()
+	_, h, _, err := resolveJob(j)
+	return err == nil && h != nil
 }
 
 // Validate reports whether the Job resolves to a pipeline, without
@@ -131,6 +121,6 @@ func (j Job) Validate() error {
 	if j.Spec == "" {
 		return fmt.Errorf("analysis: Job.Spec is required")
 	}
-	_, _, err := resolveJob(j, nil)
+	_, _, _, err := resolveJob(j)
 	return err
 }

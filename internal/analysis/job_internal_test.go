@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"reflect"
 	"testing"
 
 	"introspect/internal/introspect"
@@ -10,22 +11,19 @@ import (
 // fields keep the paper's defaults, positive fields override them.
 func TestThresholdsMaterialize(t *testing.T) {
 	var nilT *Thresholds
-	if got, want := nilT.heuristicA(), introspect.DefaultA(); got != want {
-		t.Errorf("nil.heuristicA() = %+v, want defaults %+v", got, want)
-	}
-	if got, want := nilT.heuristicB(), introspect.DefaultB(); got != want {
-		t.Errorf("nil.heuristicB() = %+v, want defaults %+v", got, want)
-	}
-	if got, want := (&Thresholds{}).heuristicA(), introspect.DefaultA(); got != want {
-		t.Errorf("zero.heuristicA() = %+v, want defaults %+v", got, want)
-	}
-	got := (&Thresholds{K: 7, M: 9}).heuristicA()
-	if got.K != 7 || got.M != 9 || got.L != introspect.DefaultA().L {
-		t.Errorf("partial override = %+v, want K=7 M=9 L=default", got)
-	}
-	gotB := (&Thresholds{Q: 42}).heuristicB()
-	if gotB.Q != 42 || gotB.P != introspect.DefaultB().P {
-		t.Errorf("partial override = %+v, want Q=42 P=default", gotB)
+	for _, c := range []struct {
+		name      string
+		got, want *introspect.Heuristic
+	}{
+		{"nil.heuristicA()", nilT.heuristicA(), introspect.DefaultA()},
+		{"nil.heuristicB()", nilT.heuristicB(), introspect.DefaultB()},
+		{"zero.heuristicA()", (&Thresholds{}).heuristicA(), introspect.DefaultA()},
+		{"partial A override", (&Thresholds{K: 7, M: 9}).heuristicA(), introspect.HeuristicA(7, introspect.DefaultL, 9)},
+		{"partial B override", (&Thresholds{Q: 42}).heuristicB(), introspect.HeuristicB(introspect.DefaultP, 42)},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s = %+v, want %+v", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -34,11 +32,10 @@ func TestThresholdsMaterialize(t *testing.T) {
 func TestResolveJob(t *testing.T) {
 	so := introspect.DefaultSyntactic()
 	cases := []struct {
-		name     string
-		job      Job
-		override Selector
-		wantSel  string // "" = single-pass, else Selector.Name()
-		wantErr  bool
+		name    string
+		job     Job
+		wantSel string // "" = single-pass, else the variant name
+		wantErr bool
 	}{
 		{name: "plain", job: Job{Spec: "2objH"}, wantSel: ""},
 		{name: "insens", job: Job{Spec: "insens"}, wantSel: ""},
@@ -46,17 +43,15 @@ func TestResolveJob(t *testing.T) {
 		{name: "introB with thresholds", job: Job{Spec: "2callH-IntroB", Thresholds: &Thresholds{P: 5}}, wantSel: "IntroB"},
 		{name: "syntactic suffix", job: Job{Spec: "2objH-syntactic"}, wantSel: "syntactic"},
 		{name: "syntactic options", job: Job{Spec: "2objH", Syntactic: &so}, wantSel: "syntactic"},
-		{name: "override", job: Job{Spec: "2objH"}, override: HeuristicSelector(introspect.DefaultA()), wantSel: "IntroA"},
 		{name: "unknown variant", job: Job{Spec: "2objH-IntroZ"}, wantErr: true},
 		{name: "thresholds without variant", job: Job{Spec: "2objH", Thresholds: &Thresholds{K: 1}}, wantErr: true},
 		{name: "thresholds plus syntactic", job: Job{Spec: "2objH", Thresholds: &Thresholds{K: 1}, Syntactic: &so}, wantErr: true},
-		{name: "override plus thresholds", job: Job{Spec: "2objH", Thresholds: &Thresholds{K: 1}}, override: HeuristicSelector(introspect.DefaultA()), wantErr: true},
 		{name: "introspective insens", job: Job{Spec: "insens-IntroA"}, wantErr: true},
 		{name: "bogus spec", job: Job{Spec: "9zorkH"}, wantErr: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, sel, err := resolveJob(c.job, c.override)
+			_, h, syn, err := resolveJob(c.job)
 			if c.wantErr {
 				if err == nil {
 					t.Fatalf("resolveJob(%+v) succeeded, want error", c.job)
@@ -67,11 +62,16 @@ func TestResolveJob(t *testing.T) {
 				t.Fatalf("resolveJob(%+v): %v", c.job, err)
 			}
 			name := ""
-			if sel != nil {
-				name = sel.Name()
+			switch {
+			case h != nil && syn != nil:
+				t.Fatalf("resolveJob(%+v) returned both a heuristic and syntactic options", c.job)
+			case h != nil:
+				name = h.Name
+			case syn != nil:
+				name = "syntactic"
 			}
 			if name != c.wantSel {
-				t.Errorf("selector %q, want %q", name, c.wantSel)
+				t.Errorf("variant %q, want %q", name, c.wantSel)
 			}
 		})
 	}
@@ -80,13 +80,12 @@ func TestResolveJob(t *testing.T) {
 // TestResolveJobThresholdsReach checks that Job.Thresholds actually
 // reaches the materialized heuristic (not just parses).
 func TestResolveJobThresholdsReach(t *testing.T) {
-	_, sel, err := resolveJob(Job{Spec: "2objH-IntroA", Thresholds: &Thresholds{K: 3, L: 4, M: 5}}, nil)
+	_, h, _, err := resolveJob(Job{Spec: "2objH-IntroA", Thresholds: &Thresholds{K: 3, L: 4, M: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sel.(heuristicSelector).h.(introspect.HeuristicA)
-	if h != (introspect.HeuristicA{K: 3, L: 4, M: 5}) {
-		t.Errorf("materialized %+v, want K=3 L=4 M=5", h)
+	if want := introspect.HeuristicA(3, 4, 5); !reflect.DeepEqual(h, want) {
+		t.Errorf("materialized %+v, want %+v", h, want)
 	}
 }
 

@@ -107,7 +107,6 @@ func TestJobValidate(t *testing.T) {
 // results, not just equal ones.
 func TestJobThresholdsEquivalence(t *testing.T) {
 	prog := randprog.Generate(5, randprog.Default())
-	d := introspect.DefaultA()
 	run := func(th *analysis.Thresholds) *analysis.Result {
 		t.Helper()
 		res, err := analysis.Run(context.Background(), analysis.Request{
@@ -121,7 +120,7 @@ func TestJobThresholdsEquivalence(t *testing.T) {
 		return res
 	}
 	implicit := run(nil)
-	explicit := run(&analysis.Thresholds{K: d.K, L: d.L, M: d.M})
+	explicit := run(&analysis.Thresholds{K: introspect.DefaultK, L: introspect.DefaultL, M: introspect.DefaultM})
 	// Compare everything but the wall clock: ElapsedMS legitimately
 	// differs between two runs of the same job on a loaded machine.
 	pi, pe := *implicit.Precision, *explicit.Precision

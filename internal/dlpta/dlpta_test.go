@@ -94,19 +94,19 @@ class Main {
 }`)
 }
 
-func compare(t *testing.T, prog *ir.Program, spec string, h introspect.Heuristic) {
+func compare(t *testing.T, prog *ir.Program, spec string, h *tinyHeuristic) {
 	t.Helper()
 
 	// Native solver, through the pipeline layer. With a heuristic, the
 	// pipeline runs the full introspective staging; its selection is
 	// then handed verbatim to the Datalog side, so both implementations
 	// refine exactly the same exclusion sets.
-	var sel analysis.Selector
+	job := analysis.Job{Spec: spec}
 	if h != nil {
-		sel = analysis.HeuristicSelector(h)
+		job = analysis.Job{Spec: spec + "-" + h.variant, Thresholds: h.th}
 	}
 	res, err := analysis.Run(context.Background(), analysis.Request{
-		Prog: prog, Job: analysis.Job{Spec: spec}, Selector: sel, Limits: analysis.Limits{Budget: -1},
+		Prog: prog, Job: job, Limits: analysis.Limits{Budget: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,11 +190,17 @@ func TestEquivalenceChains(t *testing.T) {
 	}
 }
 
+// tinyHeuristic is an introspective variant with tiny thresholds.
+type tinyHeuristic struct {
+	variant string
+	th      *analysis.Thresholds
+}
+
 // tinyHeuristics are tiny-threshold heuristics: they exclude plenty of
 // elements, giving the refined rules real work.
-var tinyHeuristics = map[string]introspect.Heuristic{
-	"tinyA": introspect.HeuristicA{K: 1, L: 1, M: 1},
-	"tinyB": introspect.HeuristicB{P: 3, Q: 2},
+var tinyHeuristics = map[string]*tinyHeuristic{
+	"tinyA": {"IntroA", &analysis.Thresholds{K: 1, L: 1, M: 1}},
+	"tinyB": {"IntroB", &analysis.Thresholds{P: 3, Q: 2}},
 }
 
 // TestEquivalenceIntrospective checks the refined-constructor rules:

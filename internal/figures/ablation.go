@@ -34,20 +34,18 @@ type AblationRow struct {
 // scaledA returns Heuristic A's constants scaled by f, as serializable
 // threshold overrides.
 func scaledA(f float64) *analysis.Thresholds {
-	d := introspect.DefaultA()
 	return &analysis.Thresholds{
-		K: int(float64(d.K) * f),
-		L: int(float64(d.L) * f),
-		M: int(float64(d.M) * f),
+		K: int(introspect.DefaultK * f),
+		L: int(introspect.DefaultL * f),
+		M: int(introspect.DefaultM * f),
 	}
 }
 
 // scaledB returns Heuristic B's constants scaled by f.
 func scaledB(f float64) *analysis.Thresholds {
-	d := introspect.DefaultB()
 	return &analysis.Thresholds{
-		P: int(float64(d.P) * f),
-		Q: int(float64(d.Q) * f),
+		P: int(introspect.DefaultP * f),
+		Q: int(introspect.DefaultQ * f),
 	}
 }
 

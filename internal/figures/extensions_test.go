@@ -1,11 +1,20 @@
 package figures
 
 import (
+	"context"
 	"testing"
 
-	"introspect/internal/introspect"
+	"introspect/internal/analysis"
+	"introspect/internal/report"
 	"introspect/internal/suite"
 )
+
+// runFull runs one analysis on a benchmark and renders it as a row.
+func runFull(name, spec string, lim analysis.Limits) (report.Row, error) {
+	req := fullReq(name, spec, lim)
+	res, err := analysis.Run(context.Background(), req)
+	return rowOf(req, analysis.RunResult{Result: res, Err: err})
+}
 
 // TestHybridAtLeastAsExplosive examines the paper's Section 5
 // observation about hybrid context-sensitivity (reference [12]): on
@@ -42,7 +51,7 @@ func TestHybridAtLeastAsExplosive(t *testing.T) {
 		}
 	}
 	// Introspection rescues hybrid where it rescues object-sensitivity.
-	row, _, err := runIntro("hsqldb", "2hybH", introspect.DefaultB(), cfg.Limits())
+	row, err := runFull("hsqldb", "2hybH-IntroB", cfg.Limits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +79,7 @@ func TestDeeperContextExtension(t *testing.T) {
 		if objTimeouts[b] && !full.TimedOut {
 			t.Errorf("%s: 3objH terminated but 2objH does not; deeper context should not be cheaper here", b)
 		}
-		row, _, err := runIntro(b, "3objH", introspect.DefaultA(), cfg.Limits())
+		row, err := runFull(b, "3objH-IntroA", cfg.Limits())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,6 @@
 package introspect
 
-import (
-	"fmt"
-
-	"introspect/internal/ir"
-	"introspect/internal/pta"
-)
+import "introspect/internal/ir"
 
 // Decision is one refine/demote verdict of an introspection heuristic:
 // which program element was scored, by which metric clause, what value
@@ -41,51 +36,8 @@ const (
 	VerdictDemote = "demote"
 )
 
-// AuditingHeuristic is implemented by heuristics that can narrate
-// their selection. SelectAudit must compute the exact Refinement that
-// Select would, additionally invoking rec for every scored element
-// whose metric value was observed (non-zero) or whose verdict is
-// demote — zero-valued refines are vacuous (the first pass never saw
-// the element) and would bloat the log without informing anyone.
-// Decisions are recorded in deterministic element-ID order per clause.
-type AuditingHeuristic interface {
-	Heuristic
-	SelectAudit(prog *ir.Program, m *Metrics, rec func(Decision)) *pta.Refinement
-}
-
-// label is the clause's metric name for decision records and
-// Prometheus labels: plain "*" for products, no spaces.
-func (c Clause) label() string {
-	if c.HasSecond {
-		return fmt.Sprintf("%s*%s", c.Metric, c.Metric2)
-	}
-	return c.Metric.String()
-}
-
-// score evaluates the clause's metric (or metric product) on element
-// id. Exceeds is score > Threshold.
-func (c Clause) score(ms *Metrics, id int) int {
-	v := c.Metric.value(ms, id)
-	if c.HasSecond {
-		v *= c.Metric2.value(ms, id)
-	}
-	return v
-}
-
-// siteName resolves an element ID to its readable name per domain.
-func siteName(prog *ir.Program, d domain, id int) string {
-	switch d {
-	case invoDomain:
-		return prog.InvoName(ir.InvoID(id))
-	case methodDomain:
-		return prog.MethodName(ir.MethodID(id))
-	default:
-		return prog.HeapName(ir.HeapID(id))
-	}
-}
-
-// kindName is the Decision.Kind string per domain.
-func kindName(d domain) string {
+// String is the Decision.Kind of the domain's elements.
+func (d domain) String() string {
 	switch d {
 	case invoDomain:
 		return "invo"
@@ -96,79 +48,14 @@ func kindName(d domain) string {
 	}
 }
 
-// SelectAudit implements AuditingHeuristic. Every clause scans its
-// whole domain in element-ID order, so the decision log is
-// deterministic for a given first pass.
-func (c Combo) SelectAudit(prog *ir.Program, m *Metrics, rec func(Decision)) *pta.Refinement {
-	ref := &pta.Refinement{}
-	for _, cl := range c.Clauses {
-		dom := cl.Metric.domain()
-		var n int
-		switch dom {
-		case invoDomain:
-			n = prog.NumInvos()
-		case methodDomain:
-			n = prog.NumMethods()
-		default:
-			n = prog.NumHeaps()
-		}
-		for i := 0; i < n; i++ {
-			v := cl.score(m, i)
-			demote := v > cl.Threshold
-			if demote {
-				switch dom {
-				case invoDomain:
-					ref.Invos.Add(int32(i))
-				case methodDomain:
-					ref.Methods.Add(int32(i))
-				default:
-					ref.Heaps.Add(int32(i))
-				}
-			}
-			if rec == nil || (v == 0 && !demote) {
-				continue
-			}
-			verdict := VerdictRefine
-			if demote {
-				verdict = VerdictDemote
-			}
-			rec(Decision{
-				Kind:      kindName(dom),
-				Site:      siteName(prog, dom, i),
-				Metric:    cl.label(),
-				Value:     v,
-				Threshold: cl.Threshold,
-				Verdict:   verdict,
-			})
-		}
+// site resolves an element ID of the domain to its readable name.
+func (d domain) site(prog *ir.Program, id int) string {
+	switch d {
+	case invoDomain:
+		return prog.InvoName(ir.InvoID(id))
+	case methodDomain:
+		return prog.MethodName(ir.MethodID(id))
+	default:
+		return prog.HeapName(ir.HeapID(id))
 	}
-	return ref
-}
-
-// SelectAudit implements AuditingHeuristic by delegating to the
-// Combo form (AsComboA is pinned equivalent to Select by tests).
-func (h HeuristicA) SelectAudit(prog *ir.Program, m *Metrics, rec func(Decision)) *pta.Refinement {
-	return AsComboA(h).SelectAudit(prog, m, rec)
-}
-
-// SelectAudit implements AuditingHeuristic by delegating to the
-// Combo form (AsComboB is pinned equivalent to Select by tests).
-func (h HeuristicB) SelectAudit(prog *ir.Program, m *Metrics, rec func(Decision)) *pta.Refinement {
-	return AsComboB(h).SelectAudit(prog, m, rec)
-}
-
-// SelectWithAudit is SelectWith plus the decision log: when audit is
-// true and the heuristic can narrate itself, the returned Selection
-// carries every observed refine/demote decision. For non-auditing
-// heuristics the Selection is identical to SelectWith's (no log).
-func SelectWithAudit(res *pta.Result, m *Metrics, h Heuristic, audit bool) *Selection {
-	ah, ok := h.(AuditingHeuristic)
-	if !audit || !ok {
-		return SelectWith(res, m, h)
-	}
-	var decisions []Decision
-	ref := ah.SelectAudit(res.Prog, m, func(d Decision) { decisions = append(decisions, d) })
-	sel := tally(res, ref, h.Name())
-	sel.Decisions = decisions
-	return sel
 }

@@ -123,7 +123,7 @@ func TestHeuristicASelection(t *testing.T) {
 	m := introspect.Compute(res)
 
 	// K=3: h1 (pointed by 4 vars) is excluded; hA, h2 are not.
-	ref := introspect.HeuristicA{K: 3, L: 1, M: 1}.Select(prog, m)
+	ref := introspect.HeuristicA(3, 1, 1).Select(prog, m, nil)
 	if !ref.ExcludesHeap(heaps["h1"]) {
 		t.Error("h1 should be excluded (pointed-by-vars 4 > 3)")
 	}
@@ -143,7 +143,7 @@ func TestHeuristicASelection(t *testing.T) {
 	}
 	// With the paper's constants nothing is excluded in this tiny
 	// program.
-	refDefault := introspect.DefaultA().Select(prog, m)
+	refDefault := introspect.DefaultA().Select(prog, m, nil)
 	if !refDefault.Heaps.Empty() || !refDefault.Invos.Empty() || !refDefault.Methods.Empty() {
 		t.Error("paper-constant Heuristic A should exclude nothing here")
 	}
@@ -155,7 +155,7 @@ func TestHeuristicBSelection(t *testing.T) {
 	m := introspect.Compute(res)
 
 	// P=2: util (volume 3) and main (volume 4) excluded.
-	ref := introspect.HeuristicB{P: 2, Q: 1}.Select(prog, m)
+	ref := introspect.HeuristicB(2, 1).Select(prog, m, nil)
 	if !ref.Methods.Has(int32(meths["util"])) || !ref.Methods.Has(int32(meths["main"])) {
 		t.Error("both methods should be excluded with P=2")
 	}
@@ -167,7 +167,7 @@ func TestHeuristicBSelection(t *testing.T) {
 	if ref.ExcludesHeap(heaps["h1"]) {
 		t.Error("h1 should not be excluded (product 0)")
 	}
-	if introspect.DefaultB().Name() != "IntroB" || introspect.DefaultA().Name() != "IntroA" {
+	if introspect.DefaultB().Name != "IntroB" || introspect.DefaultA().Name != "IntroA" {
 		t.Error("heuristic names wrong")
 	}
 }
@@ -175,7 +175,7 @@ func TestHeuristicBSelection(t *testing.T) {
 func TestSelectionStats(t *testing.T) {
 	prog, _, _, _ := buildMetricsProgram(t)
 	res := analyze(t, prog, "insens")
-	sel := introspect.Select(res, introspect.HeuristicA{K: 3, L: 1, M: 1})
+	sel := introspect.SelectWith(res, introspect.Compute(res), introspect.HeuristicA(3, 1, 1), false)
 	// 3 allocation sites, 1 reachable invo.
 	if sel.TotalHeaps != 3 || sel.TotalInvos != 1 {
 		t.Errorf("totals: heaps %d invos %d, want 3 and 1", sel.TotalHeaps, sel.TotalInvos)
@@ -218,25 +218,26 @@ func TestRunPipeline(t *testing.T) {
 
 	// Deep must be context-sensitive.
 	if _, err := analysis.Run(context.Background(), analysis.Request{
-		Prog: prog, Job: analysis.Job{Spec: "insens"}, Selector: analysis.HeuristicSelector(introspect.DefaultA()),
+		Prog: prog, Job: analysis.Job{Spec: "insens-IntroA"},
 	}); err == nil {
 		t.Error("introspective pipeline with insens deep analysis should fail")
 	}
 	if _, err := analysis.Run(context.Background(), analysis.Request{
-		Prog: prog, Job: analysis.Job{Spec: "bogus"}, Selector: analysis.HeuristicSelector(introspect.DefaultA()),
+		Prog: prog, Job: analysis.Job{Spec: "bogus-IntroA"},
 	}); err == nil {
 		t.Error("pipeline with bogus analysis should fail")
 	}
 }
 
-// allCheap is a heuristic that excludes every heap and every call site
-// from refinement — the degenerate "everything analyzed cheaply" dial
-// position.
-type allCheap struct{}
+// TestFullExclusionEqualsInsens: with every heap and call site
+// excluded from refinement — the degenerate "everything analyzed
+// cheaply" dial position — the introspective run collapses to the
+// insensitive result: points-to sets projected context-insensitively
+// must coincide.
+func TestFullExclusionEqualsInsens(t *testing.T) {
+	prog, _, _, _ := buildMetricsProgram(t)
+	ins := analyze(t, prog, "insens")
 
-func (allCheap) Name() string { return "allcheap" }
-
-func (allCheap) Select(prog *ir.Program, m *introspect.Metrics) *pta.Refinement {
 	ref := &pta.Refinement{}
 	for h := 0; h < prog.NumHeaps(); h++ {
 		ref.Heaps.Add(int32(h))
@@ -244,24 +245,19 @@ func (allCheap) Select(prog *ir.Program, m *introspect.Metrics) *pta.Refinement 
 	for i := 0; i < prog.NumInvos(); i++ {
 		ref.Invos.Add(int32(i))
 	}
-	return ref
-}
-
-// TestIntrospectiveNeverWorseThanInsens: with everything excluded, the
-// introspective run degenerates to (at least) the insensitive result —
-// points-to sets projected context-insensitively must coincide.
-func TestFullExclusionEqualsInsens(t *testing.T) {
-	prog, _, _, _ := buildMetricsProgram(t)
-	ins := analyze(t, prog, "insens")
-
-	res, err := analysis.Run(context.Background(), analysis.Request{
-		Prog: prog, Job: analysis.Job{Spec: "2objH"}, Selector: analysis.HeuristicSelector(allCheap{}),
-		Limits: analysis.Limits{Budget: -1},
-	})
+	deep, err := pta.ParseSpec("2objH")
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := res.Main
+	tab := pta.NewTable()
+	strat := pta.NewIntrospective(
+		pta.NewPolicy(deep, prog, tab),
+		pta.NewPolicy(pta.Spec{Flavor: pta.Insensitive}, prog, tab),
+		ref, "")
+	second, err := pta.Solve(context.Background(), prog, strat, tab, pta.Options{Budget: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if second.NumMethodContexts() != ins.NumMethodContexts() {
 		t.Errorf("full exclusion should collapse to insens contexts: %d vs %d",

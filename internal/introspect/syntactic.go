@@ -69,5 +69,5 @@ func SyntacticExclusions(prog *ir.Program, opts SyntacticOptions) *pta.Refinemen
 
 // Running a deep analysis with only these exclusions applied — the
 // baseline the paper's related-work section describes — is an
-// analysis-layer pipeline: analysis.Run with Request.Syntactic set
+// analysis-layer pipeline: analysis.Run with Job.Syntactic set
 // (spec suffix "-syntactic").
