@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"introspect/internal/analysis"
+	"introspect/internal/pta"
 	"introspect/internal/suite"
 )
 
@@ -28,11 +29,11 @@ func TestCancelMidSolve(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// Cancel from the first solver progress callback: by construction
-	// that is mid-solve, with the worklist still hot.
+	// Cancel from the first solver snapshot: by construction that is
+	// mid-solve, with the worklist still hot.
 	var fired atomic.Bool
 	obs := analysis.ObserverFuncs{
-		OnProgress: func(stage string, work int64) {
+		OnSolveSnapshot: func(string, pta.Snapshot) {
 			if fired.CompareAndSwap(false, true) {
 				cancel()
 			}
@@ -48,13 +49,13 @@ func TestCancelMidSolve(t *testing.T) {
 	elapsed := time.Since(start)
 
 	if !fired.Load() {
-		t.Fatal("progress callback never fired; cancellation was not mid-solve")
+		t.Fatal("snapshot callback never fired; cancellation was not mid-solve")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want wrapped context.Canceled, got %v", err)
 	}
 	// Unbudgeted jython/2objH runs essentially forever; returning within
-	// seconds of the first progress tick proves the worklist loop polls
+	// seconds of the first snapshot proves the worklist loop polls
 	// the context.
 	if elapsed > 2*time.Minute {
 		t.Errorf("cancellation took %v; solver is not polling the context", elapsed)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"introspect/internal/analysis"
+	"introspect/internal/pta"
 	"introspect/internal/randprog"
 	"introspect/internal/suite"
 )
@@ -77,11 +78,11 @@ func TestRunAllCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	// Cancel from the first solver progress tick — by construction the
+	// Cancel from the first solver snapshot — by construction the
 	// fleet is then mid-solve with more requests still queued.
 	var fired atomic.Bool
 	obs := analysis.ObserverFuncs{
-		OnProgress: func(stage string, work int64) {
+		OnSolveSnapshot: func(string, pta.Snapshot) {
 			if fired.CompareAndSwap(false, true) {
 				cancel()
 			}
@@ -101,7 +102,7 @@ func TestRunAllCancellation(t *testing.T) {
 	elapsed := time.Since(start)
 
 	if !fired.Load() {
-		t.Fatal("progress callback never fired; cancellation was not mid-fleet")
+		t.Fatal("snapshot callback never fired; cancellation was not mid-fleet")
 	}
 	if elapsed > 2*time.Minute {
 		t.Errorf("fleet took %v to drain after cancellation", elapsed)

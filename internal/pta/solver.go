@@ -22,11 +22,6 @@ type Options struct {
 	// propagation steps) before the run is abandoned. 0 means
 	// DefaultBudget; negative means unlimited.
 	Budget int64
-	// Progress, if non-nil, is called from the worklist loop every
-	// DefaultProgressEvery work units with the current work count — the
-	// hook the analysis layer's Observer uses for live progress
-	// reporting.
-	Progress func(work int64)
 	// Snapshot, if non-nil, is called periodically from the worklist
 	// loop with a point-in-time Snapshot of the solve — the hook the
 	// observability layer uses for solver-level tracing and live
@@ -54,14 +49,10 @@ type Options struct {
 // 90-minute timeout.
 const DefaultBudget int64 = 150_000_000
 
-// DefaultProgressEvery is the work-unit interval between
-// Options.Progress callbacks.
-const DefaultProgressEvery int64 = 1 << 22
-
 // DefaultSnapshotEvery is the default work-unit interval between
-// Options.Snapshot callbacks. It matches DefaultProgressEvery: a
-// snapshot costs an O(nodes) scan, so the default keeps sampling well
-// under 1% of solve time even on exploding runs.
+// Options.Snapshot callbacks. A snapshot costs an O(nodes) scan, so
+// the default keeps sampling well under 1% of solve time even on
+// exploding runs.
 const DefaultSnapshotEvery int64 = 1 << 22
 
 // Snapshot is a point-in-time picture of a running solve, emitted
@@ -237,8 +228,6 @@ type solver struct {
 	ctx          context.Context
 	ctxErr       error
 	popCount     int
-	progress     func(work int64)
-	lastProg     int64
 	snapshot     func(Snapshot)
 	snapEvery    int64
 	lastSnap     int64
@@ -272,7 +261,6 @@ func Solve(ctx context.Context, prog *ir.Program, strat Strategy, tab *Table, op
 		invoTargets: make([]map[ir.MethodID]struct{}, prog.NumInvos()),
 		budget:      opts.budget(),
 		ctx:         ctx,
-		progress:    opts.Progress,
 		snapshot:    opts.Snapshot,
 		snapEvery:   opts.SnapshotEvery,
 	}
@@ -713,8 +701,8 @@ func (s *solver) linkCall(c *ir.Call, callerCtx Ctx, toMeth ir.MethodID, calleeC
 
 // interrupted is the per-iteration stop check of the worklist loop: the
 // deterministic work budget every pop, the context (cancellation or
-// deadline) every checkCtxEvery pops, and the optional progress
-// callback every DefaultProgressEvery work units.
+// deadline) every checkCtxEvery pops, and the optional snapshot
+// callback every snapEvery work units.
 func (s *solver) interrupted() bool {
 	if s.work > s.budget {
 		s.exceeded = true
@@ -726,10 +714,6 @@ func (s *solver) interrupted() bool {
 			s.ctxErr = err
 			return true
 		}
-	}
-	if s.progress != nil && s.work-s.lastProg >= DefaultProgressEvery {
-		s.lastProg = s.work
-		s.progress(s.work)
 	}
 	if s.snapshot != nil && s.work-s.lastSnap >= s.snapEvery {
 		s.lastSnap = s.work

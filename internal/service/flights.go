@@ -42,18 +42,9 @@ func (f *flightMeta) setSnapshot(snap pta.Snapshot) {
 }
 
 // observer feeds the flight record from the pipeline's callbacks.
-// Progress (the cheap high-frequency callback) keeps the work counter
-// fresh between full snapshots.
 func (f *flightMeta) observer() analysis.Observer {
 	return analysis.ObserverFuncs{
-		OnStageStart: f.setStage,
-		OnProgress: func(_ string, work int64) {
-			f.mu.Lock()
-			if work > f.snap.Work {
-				f.snap.Work = work
-			}
-			f.mu.Unlock()
-		},
+		OnStageStart:    f.setStage,
 		OnSolveSnapshot: func(_ string, snap pta.Snapshot) { f.setSnapshot(snap) },
 	}
 }
@@ -113,12 +104,10 @@ func (s *Service) Flights() []FlightInfo {
 			AgeMS:      now.Sub(fl.started).Milliseconds(),
 			Stage:      fl.stage,
 		}
-		if fl.snap.Work > 0 {
+		if !fl.snapAt.IsZero() {
 			snap := fl.snap
 			info.Snapshot = &snap
-			if !fl.snapAt.IsZero() {
-				info.SnapshotAgeMS = now.Sub(fl.snapAt).Milliseconds()
-			}
+			info.SnapshotAgeMS = now.Sub(fl.snapAt).Milliseconds()
 		}
 		fl.mu.Unlock()
 		out[i] = info
