@@ -53,12 +53,15 @@ import (
 )
 
 // defaultPackages is the determinism-critical set: the solver, the
-// bitset layer under it, and the cut-shortcut strategy that edits the
-// constraint graph before solving.
+// bitset layer under it, the cut-shortcut strategy that edits the
+// constraint graph before solving, and the selection layer, whose
+// decision log is cached and sent on the wire.
 var defaultPackages = []string{
 	"internal/pta",
 	"internal/bits",
 	"internal/cutshortcut",
+	"internal/introspect",
+	"internal/analysis",
 }
 
 func main() {

@@ -110,7 +110,7 @@ func Compute(res *pta.Result) *Metrics {
 		}
 		pt.ForEach(func(hc int32) { s.Add(int32(res.HeapOf(hc))) })
 	})
-	for key, s := range fieldSets {
+	for key, s := range fieldSets { //introvet:allow only sums, maxima and counts, which no visiting order can change
 		n := s.Len()
 		m.TotalFieldPointsTo[key.h] += n
 		if n > m.MaxFieldPointsTo[key.h] {
