@@ -329,6 +329,14 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 		s.mu.Lock()
 		f, owner := s.flights[key], false
 		if f == nil {
+			// The flight this request missed may have finished since
+			// the lookup above: its owner puts the result, then deletes
+			// the flight under s.mu. Look again before solving the key
+			// a second time; the next pass serves the hit.
+			if _, ok := s.results.get(key); ok {
+				s.mu.Unlock()
+				continue
+			}
 			if s.pending >= s.cfg.Workers+s.cfg.QueueDepth {
 				s.mu.Unlock()
 				s.metrics.add(&s.metrics.doc.Rejected.Overload)
