@@ -2,6 +2,8 @@ package pta
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
 
 	"introspect/internal/randprog"
@@ -35,6 +37,35 @@ func BenchmarkSolve2typeH(b *testing.B) { benchSolve(b, "lusearch", "2typeH") }
 func BenchmarkSolve2callH(b *testing.B) { benchSolve(b, "lusearch", "2callH") }
 func BenchmarkSolve2hybH(b *testing.B)  { benchSolve(b, "lusearch", "2hybH") }
 func BenchmarkSolve3objH(b *testing.B)  { benchSolve(b, "lusearch", "3objH") }
+
+// BenchmarkSolveCapped solves jython under 2objH at the figure budget
+// (figures.DefaultBudget, 30M work units), where the context-qualified
+// constraint graph explodes and the run is capped: the regime of the
+// Figure 5-7 TIMEOUT rows, which the lusearch benchmarks above never
+// reach. Besides work and nodes it reports retained-MiB, the live heap
+// after a GC with the last Result still held.
+func BenchmarkSolveCapped(b *testing.B) {
+	prog := suite.MustLoad("jython")
+	b.ResetTimer()
+	var res *Result
+	for i := 0; i < b.N; i++ {
+		res = nil
+		var err error
+		res, err = Analyze(context.Background(), prog, "2objH", Options{Budget: 30_000_000})
+		if !errors.Is(err, ErrBudgetExceeded) {
+			b.Fatalf("jython 2objH: err = %v, want the budget to run out", err)
+		}
+	}
+	b.StopTimer()
+	nodes, _ := res.ConstraintStats()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(res.Work), "work")
+	b.ReportMetric(float64(nodes), "nodes")
+	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "retained-MiB")
+	runtime.KeepAlive(res)
+}
 
 // BenchmarkSolveRandom exercises the solver over a batch of random
 // programs — the profile differs from the suite (denser dispatch,

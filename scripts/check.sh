@@ -30,6 +30,10 @@ go test ./...
 # hand (make bench), so check at least that it parses.
 sh -n scripts/bench.sh
 go test -race ./internal/analysis ./internal/pta ./internal/cutshortcut ./internal/checkers ./internal/service ./internal/obs
+# One capped jython 2objH solve at the figure budget: the only solver
+# benchmark that reaches the node explosion of the TIMEOUT rows. Run
+# once so it keeps compiling and its retained-MiB stays visible in CI.
+go test -run '^$' -bench SolveCapped -benchtime 1x ./internal/pta
 
 # Trace-export smoke test (same commands as `make trace-smoke`): solve
 # with tracing on, then validate the Chrome trace file end to end.
