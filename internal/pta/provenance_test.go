@@ -87,7 +87,7 @@ func hashSources(t *testing.T, label string, h hash.Hash64, res *Result) int {
 	var buf []byte
 	for n := range s.kind {
 		n := int32(n)
-		s.pt[n].ForEach(func(hc int32) {
+		s.ptOf(n).ForEach(func(hc int32) {
 			src, ok := s.prov.source(n, hc)
 			if !ok {
 				t.Fatalf("%s: fact (%s, %d) has no recorded source", label, s.debugNode(n), hc)
@@ -165,8 +165,8 @@ func checkWitnesses(t testing.TB, label string, prog *ir.Program, res *Result) i
 	}
 
 	connected := func(a, b, hc int32) bool {
-		for _, e := range s.succs[a] {
-			if e.dst == b && s.passesFilter(hc, e.filter) {
+		for c := s.succHead[a]; c != 0; c = s.edges[c].next {
+			if e := s.edges[c]; e.dst == b && s.passesFilter(hc, e.filter) {
 				return true
 			}
 		}
@@ -179,7 +179,7 @@ func checkWitnesses(t testing.TB, label string, prog *ir.Program, res *Result) i
 			continue
 		}
 		n := int32(n)
-		s.pt[n].ForEach(func(hc int32) {
+		s.ptOf(n).ForEach(func(hc int32) {
 			checked++
 			chain, ok := res.explainChain(n, hc)
 			if !ok {
@@ -189,7 +189,7 @@ func checkWitnesses(t testing.TB, label string, prog *ir.Program, res *Result) i
 				t.Fatalf("%s: witness for %s does not end at the queried node", label, s.debugNode(n))
 			}
 			for i, cn := range chain {
-				if !s.pt[cn].Has(hc) {
+				if !s.ptOf(cn).Has(hc) {
 					t.Fatalf("%s: witness node %s does not hold the fact", label, s.debugNode(cn))
 				}
 				if i > 0 && !connected(chain[i-1], cn, hc) {
