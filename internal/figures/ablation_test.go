@@ -2,8 +2,31 @@ package figures
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
+
+// ablationWant pins every row of the 2objH and 2callH sweeps. Summary
+// sums per-benchmark fractions in map order, so a retention can differ
+// from run to run in its last bit; it is compared within 1e-12.
+var ablationWant = map[string][]AblationRow{
+	"2objH": {
+		{0.5, "IntroA", nil, 0.7575212219461522},
+		{0.5, "IntroB", []string{"jython"}, 1},
+		{1, "IntroA", nil, 0.7575212219461522},
+		{1, "IntroB", []string{"jython"}, 1},
+		{2, "IntroA", nil, 0.7575212219461522},
+		{2, "IntroB", []string{"jython"}, 1},
+	},
+	"2callH": {
+		{0.5, "IntroA", nil, 0.7635993620144401},
+		{0.5, "IntroB", []string{"jython"}, 1},
+		{1, "IntroA", nil, 0.7635993620144401},
+		{1, "IntroB", []string{"jython"}, 1},
+		{2, "IntroA", nil, 0.7635993620144401},
+		{2, "IntroB", []string{"jython"}, 1},
+	},
+}
 
 // TestAblationRobustness pins the paper's claim that the heuristics'
 // value "does not come from excessive tuning": scaling every constant
@@ -18,6 +41,17 @@ func TestAblationRobustness(t *testing.T) {
 		rows, err := Ablation(Config{}, deep, []float64{0.5, 1, 2})
 		if err != nil {
 			t.Fatal(err)
+		}
+		want := ablationWant[deep]
+		if len(rows) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", deep, len(rows), len(want))
+		}
+		for i, r := range rows {
+			w := want[i]
+			if r.Scale != w.Scale || r.Heuristic != w.Heuristic || fmt.Sprint(r.Timeouts) != fmt.Sprint(w.Timeouts) ||
+				math.Abs(r.Retention-w.Retention) > 1e-12 {
+				t.Errorf("%s row %d: %+v, want %+v", deep, i, r, w)
+			}
 		}
 		base := map[string]AblationRow{}
 		for _, r := range rows {
@@ -75,10 +109,17 @@ func TestSyntacticBaselineStillExplodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
+	wantWork := []int64{30_000_498, 30_000_576}
+	if len(rows) != len(wantWork) {
+		t.Fatalf("%d rows, want %d", len(rows), len(wantWork))
+	}
+	for i, r := range rows {
 		if !r.TimedOut {
 			t.Errorf("%s: 2objH with syntactic exclusions terminated (work=%d); "+
 				"the paper reports the pathologies survive such heuristics", r.Benchmark, r.Work)
+		}
+		if r.Work != wantWork[i] {
+			t.Errorf("%s: work %d, want %d", r.Benchmark, r.Work, wantWork[i])
 		}
 	}
 }

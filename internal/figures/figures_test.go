@@ -36,12 +36,16 @@ func rowMap(rows []report.Row) map[string]map[string]report.Row {
 
 // TestFig1Shape: context-insensitive analysis is uniformly cheap; 2objH
 // explodes exactly on hsqldb and jython and costs much more on several
-// others (the paper's bimodality).
+// others (the paper's bimodality). Its totals are pinned exactly, as
+// figPerfWant pins Figures 5-7's.
 func TestFig1Shape(t *testing.T) {
 	cfg := wantShape(t)
 	rows, err := Fig1(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, want := totalsOf(rows), (figTotals{93_785_488, 15_990_534, 2}); got != want {
+		t.Errorf("totals %+v, want %+v", got, want)
 	}
 	m := rowMap(rows)
 	for _, b := range suite.Names() {
