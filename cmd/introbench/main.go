@@ -124,7 +124,6 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		figures.SortRows(rows, deep)
 		title := fmt.Sprintf("Figure %d: %s introspective variants (time + 3 precision metrics)", n, deep)
 		fmt.Fprintln(out, report.FormatTable(title, rows))
 		sum := figures.Summary(rows)
@@ -136,7 +135,6 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		figures.SortRowsCS(rows)
 		fmt.Fprintln(out, report.FormatTable(
 			"Figure 8 (extension): introspective 2objH vs cut-shortcut, all benchmarks", rows))
 		fmt.Fprint(out, figures.FormatFigCSTrailer(rows))

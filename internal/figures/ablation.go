@@ -1,13 +1,11 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"introspect/internal/analysis"
 	"introspect/internal/introspect"
-	"introspect/internal/pta"
 	"introspect/internal/report"
 	"introspect/internal/suite"
 )
@@ -50,74 +48,42 @@ func scaledB(f float64) *analysis.Thresholds {
 }
 
 // Ablation runs the sweep for one deep analysis over the experimental
-// subjects. The insensitive and full runs are shared across scales
-// (they do not depend on the heuristic constants), and each subject's
-// insensitive result doubles as every introspective run's pre-pass
-// (Request.First) — one insensitive solve per subject for the whole
-// sweep.
+// subjects as one fleet: insens, the full deep analysis, and each
+// heuristic at each scale. The insensitive and full runs do not depend
+// on the heuristic constants, so every scale shares them, and each
+// subject's insensitive result doubles as every introspective run's
+// pre-pass — one insensitive solve per subject for the whole sweep.
 func Ablation(cfg Config, deep string, scales []float64) ([]AblationRow, error) {
 	subjects := suite.ExperimentalSubjects()
-	var shared []analysis.Request
-	for _, b := range subjects {
-		shared = append(shared, fullReq(b, "insens", cfg.Limits()), fullReq(b, deep, cfg.Limits()))
-	}
-	cfg.instrument(shared)
-	sharedRes := analysis.RunAll(context.Background(), shared, cfg.Parallel)
-	ins := map[string]report.Row{}
-	full := map[string]report.Row{}
-	firsts := map[string]*pta.Result{}
-	for i, b := range subjects {
-		insRow, err := rowOf(shared[2*i], sharedRes[2*i])
-		if err != nil {
-			return nil, err
-		}
-		fullRow, err := rowOf(shared[2*i+1], sharedRes[2*i+1])
-		if err != nil {
-			return nil, err
-		}
-		ins[b] = insRow
-		full[b] = fullRow
-		firsts[b] = sharedFirst(sharedRes[2*i])
-	}
-
+	jobs := specJobs("insens", deep)
 	var rows []AblationRow
 	for _, scale := range scales {
-		for _, v := range []struct {
-			variant string
-			th      *analysis.Thresholds
-		}{{"IntroA", scaledA(scale)}, {"IntroB", scaledB(scale)}} {
-			row := AblationRow{Scale: scale, Heuristic: v.variant, Retention: -1}
-			reqs := make([]analysis.Request, len(subjects))
-			for i, b := range subjects {
-				reqs[i] = introReq(b, deep, v.variant, v.th, cfg.Limits())
-				reqs[i].First = firsts[b]
+		jobs = append(jobs,
+			analysis.Job{Spec: deep + "-IntroA", Thresholds: scaledA(scale)},
+			analysis.Job{Spec: deep + "-IntroB", Thresholds: scaledB(scale)})
+		rows = append(rows,
+			AblationRow{Scale: scale, Heuristic: "IntroA", Retention: -1},
+			AblationRow{Scale: scale, Heuristic: "IntroB", Retention: -1})
+	}
+	got, err := fleet(cfg, subjects, jobs)
+	if err != nil {
+		return nil, err
+	}
+	for j := range rows {
+		row := &rows[j]
+		var figRows []report.Row
+		for i, b := range subjects {
+			ins, full, intro := got[i*len(jobs)], got[i*len(jobs)+1], got[i*len(jobs)+2+j]
+			if intro.TimedOut {
+				row.Timeouts = append(row.Timeouts, b)
 			}
-			introRows, err := runAll(cfg, reqs)
-			if err != nil {
-				return nil, err
-			}
-			var figRows []report.Row
-			for i, b := range subjects {
-				if introRows[i].TimedOut {
-					row.Timeouts = append(row.Timeouts, b)
-				}
-				figRows = append(figRows, ins[b], introRows[i], full[b])
-			}
-			sum := Summary(figRows)
-			if r, ok := sum[bucketOf(v.variant)]; ok {
-				row.Retention = r
-			}
-			rows = append(rows, row)
+			figRows = append(figRows, ins, intro, full)
+		}
+		if r, ok := Summary(figRows)[strings.TrimPrefix(row.Heuristic, "Intro")]; ok {
+			row.Retention = r
 		}
 	}
 	return rows, nil
-}
-
-func bucketOf(name string) string {
-	if strings.HasSuffix(name, "IntroB") || name == "IntroB" {
-		return "B"
-	}
-	return "A"
 }
 
 // SyntacticBaseline reproduces the paper's related-work observation
@@ -127,16 +93,8 @@ func bucketOf(name string) string {
 // classic syntactic exclusions on the benchmarks the paper reports as
 // non-terminating, and returns their rows (expected: still TIMEOUT).
 func SyntacticBaseline(cfg Config, deep string, benchmarks []string) ([]report.Row, error) {
-	reqs := make([]analysis.Request, len(benchmarks))
-	for i, b := range benchmarks {
-		so := introspect.DefaultSyntactic()
-		reqs[i] = analysis.Request{
-			Source: &analysis.Source{Bench: b},
-			Job:    analysis.Job{Spec: deep, Syntactic: &so},
-			Limits: cfg.Limits(),
-		}
-	}
-	return runAll(cfg, reqs)
+	so := introspect.DefaultSyntactic()
+	return fleet(cfg, benchmarks, []analysis.Job{{Spec: deep, Syntactic: &so}})
 }
 
 // FormatAblation renders the sweep.

@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"context"
 	"testing"
 
 	"introspect/internal/analysis"
@@ -10,10 +9,12 @@ import (
 )
 
 // runFull runs one analysis on a benchmark and renders it as a row.
-func runFull(name, spec string, lim analysis.Limits) (report.Row, error) {
-	req := fullReq(name, spec, lim)
-	res, err := analysis.Run(context.Background(), req)
-	return rowOf(req, analysis.RunResult{Result: res, Err: err})
+func runFull(name, spec string, cfg Config) (report.Row, error) {
+	res, err := run(cfg, []analysis.Request{cfg.request(name, analysis.Job{Spec: spec})})
+	if err != nil {
+		return report.Row{}, err
+	}
+	return report.Row{Benchmark: name, Precision: *res[0].Precision}, nil
 }
 
 // TestHybridAtLeastAsExplosive examines the paper's Section 5
@@ -34,11 +35,11 @@ func TestHybridAtLeastAsExplosive(t *testing.T) {
 	cfg := Config{}
 	agreeOn := map[string]bool{"chart": true, "eclipse": true, "hsqldb": true, "jython": true}
 	for _, b := range suite.ExperimentalSubjects() {
-		obj, err := runFull(b, "2objH", cfg.Limits())
+		obj, err := runFull(b, "2objH", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hyb, err := runFull(b, "2hybH", cfg.Limits())
+		hyb, err := runFull(b, "2hybH", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +52,7 @@ func TestHybridAtLeastAsExplosive(t *testing.T) {
 		}
 	}
 	// Introspection rescues hybrid where it rescues object-sensitivity.
-	row, err := runFull("hsqldb", "2hybH-IntroB", cfg.Limits())
+	row, err := runFull("hsqldb", "2hybH-IntroB", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +73,14 @@ func TestDeeperContextExtension(t *testing.T) {
 	cfg := Config{}
 	objTimeouts := map[string]bool{"hsqldb": true, "jython": true}
 	for _, b := range suite.ExperimentalSubjects() {
-		full, err := runFull(b, "3objH", cfg.Limits())
+		full, err := runFull(b, "3objH", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if objTimeouts[b] && !full.TimedOut {
 			t.Errorf("%s: 3objH terminated but 2objH does not; deeper context should not be cheaper here", b)
 		}
-		row, err := runFull(b, "3objH-IntroA", cfg.Limits())
+		row, err := runFull(b, "3objH-IntroA", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

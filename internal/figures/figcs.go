@@ -1,12 +1,9 @@
 package figures
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"strings"
 
-	"introspect/internal/analysis"
 	"introspect/internal/report"
 	"introspect/internal/suite"
 )
@@ -23,121 +20,14 @@ func CSVariants() []string {
 // a three-way comparison of the two approaches to taming deep context-
 // sensitivity over all nine benchmarks — the paper's introspective A/B
 // heuristics, the cut-shortcut analysis (precision from graph edits
-// instead of contexts), and the full 2objH bounds on either side.
+// instead of contexts), and the full 2objH bounds on either side. Its
+// rows come subject-major in CSVariants order.
 //
-// As in FigPerf, the insensitive fleet runs first and doubles as the
-// introspective variants' pre-pass, so each benchmark is solved
-// insensitively exactly once.
+// Like FigPerf it is one fleet, so each benchmark is solved
+// insensitively exactly once, for its insens row and both
+// introspective variants' pre-pass.
 func FigCS(cfg Config) ([]report.Row, error) {
-	subjects := suite.Names()
-	insReqs := make([]analysis.Request, len(subjects))
-	for i, b := range subjects {
-		insReqs[i] = fullReq(b, "insens", cfg.Limits())
-	}
-	cfg.instrument(insReqs)
-	insRes := analysis.RunAll(context.Background(), insReqs, cfg.Parallel)
-
-	insRows := make([]report.Row, len(subjects))
-	var rest []analysis.Request
-	for i, b := range subjects {
-		row, err := rowOf(insReqs[i], insRes[i])
-		if err != nil {
-			return nil, err
-		}
-		insRows[i] = row
-		first := sharedFirst(insRes[i])
-		ra := introReq(b, "2objH", "IntroA", nil, cfg.Limits())
-		rb := introReq(b, "2objH", "IntroB", nil, cfg.Limits())
-		ra.First, rb.First = first, first
-		rest = append(rest, ra, rb, fullReq(b, "cs", cfg.Limits()), fullReq(b, "2objH", cfg.Limits()))
-	}
-	restRows, err := runAll(cfg, rest)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]report.Row, 0, 5*len(subjects))
-	for i := range subjects {
-		rows = append(rows, insRows[i], restRows[4*i], restRows[4*i+1], restRows[4*i+2], restRows[4*i+3])
-	}
-	return rows, nil
-}
-
-// SortRowsCS orders FigCS rows benchmark-major in suite display order,
-// variant-minor in CSVariants order.
-func SortRowsCS(rows []report.Row) {
-	benchOrder := map[string]int{}
-	for i, b := range suite.Names() {
-		benchOrder[b] = i
-	}
-	varOrder := map[string]int{}
-	for i, v := range CSVariants() {
-		varOrder[v] = i
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if benchOrder[rows[i].Benchmark] != benchOrder[rows[j].Benchmark] {
-			return benchOrder[rows[i].Benchmark] < benchOrder[rows[j].Benchmark]
-		}
-		return varOrder[rows[i].Analysis] < varOrder[rows[j].Analysis]
-	})
-}
-
-// SummaryCS computes, per variant (keys "A", "B", "cs"), the fraction
-// of the insens→2objH precision delta the variant preserves, averaged
-// over the three metrics and over benchmarks where the full analysis
-// terminated (the same retention measure as Summary, extended to the
-// cut-shortcut column).
-func SummaryCS(rows []report.Row) map[string]float64 {
-	byBench := map[string]map[string]report.Row{}
-	for _, r := range rows {
-		if byBench[r.Benchmark] == nil {
-			byBench[r.Benchmark] = map[string]report.Row{}
-		}
-		key := r.Analysis
-		switch {
-		case strings.HasSuffix(key, "-IntroA"):
-			key = "A"
-		case strings.HasSuffix(key, "-IntroB"):
-			key = "B"
-		case key == "cs" || key == "insens":
-			// keep
-		default:
-			key = "full"
-		}
-		byBench[r.Benchmark][key] = r
-	}
-	sums := map[string]float64{}
-	counts := map[string]float64{}
-	for _, m := range byBench {
-		ins, full := m["insens"], m["full"]
-		if full.TimedOut || ins.Analysis == "" || full.Analysis == "" {
-			continue
-		}
-		for _, v := range []string{"A", "B", "cs"} {
-			r, ok := m[v]
-			if !ok || r.TimedOut {
-				continue
-			}
-			frac, n := 0.0, 0
-			add := func(insV, fullV, got int) {
-				if insV > fullV {
-					frac += float64(insV-got) / float64(insV-fullV)
-					n++
-				}
-			}
-			add(ins.PolyVCalls, full.PolyVCalls, r.PolyVCalls)
-			add(ins.ReachableMethods, full.ReachableMethods, r.ReachableMethods)
-			add(ins.MayFailCasts, full.MayFailCasts, r.MayFailCasts)
-			if n > 0 {
-				sums[v] += frac / float64(n)
-				counts[v]++
-			}
-		}
-	}
-	out := map[string]float64{}
-	for v, s := range sums {
-		out[v] = s / counts[v]
-	}
-	return out
+	return fleet(cfg, suite.Names(), specJobs(CSVariants()...))
 }
 
 // FormatFigCSTrailer renders the figure's summary lines: precision
@@ -145,7 +35,7 @@ func SummaryCS(rows []report.Row) map[string]float64 {
 // insensitive floor (averaged over benchmarks, in deterministic work
 // units).
 func FormatFigCSTrailer(rows []report.Row) string {
-	sum := SummaryCS(rows)
+	sum := Summary(rows)
 	var csWork, insWork float64
 	solved, total := 0, 0
 	m := rowMapOf(rows)

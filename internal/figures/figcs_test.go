@@ -56,7 +56,7 @@ func TestFigCSShape(t *testing.T) {
 		t.Error("cs never beat insens on any precision counter — the edit set did nothing")
 	}
 
-	sum := SummaryCS(rows)
+	sum := Summary(rows)
 	if sum["cs"] <= 0 {
 		t.Errorf("cs precision retention %.2f should be positive", sum["cs"])
 	}
@@ -65,7 +65,7 @@ func TestFigCSShape(t *testing.T) {
 	}
 }
 
-// TestCSVariants pins the figure's variant list and ordering helper.
+// TestCSVariants pins the figure's variant list, which is its row order.
 func TestCSVariants(t *testing.T) {
 	want := []string{"insens", "2objH-IntroA", "2objH-IntroB", "cs", "2objH"}
 	got := CSVariants()

@@ -1,8 +1,6 @@
 package figures
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"strings"
 
@@ -71,16 +69,12 @@ func FigTaint(cfg Config) ([]TaintRow, error) {
 			truths = append(truths, gt)
 		}
 	}
-	cfg.instrument(reqs)
+	results, err := run(cfg, reqs)
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]TaintRow, len(reqs))
-	for i, rr := range analysis.RunAll(context.Background(), reqs, cfg.Parallel) {
-		if rr.Err != nil {
-			var be *analysis.BudgetExceededError
-			if !errors.As(rr.Err, &be) || rr.Result == nil || rr.Result.Main == nil {
-				return nil, rr.Err
-			}
-		}
-		res := rr.Result
+	for i, res := range results {
 		row := TaintRow{
 			Benchmark: benches[i],
 			Analysis:  res.Analysis,

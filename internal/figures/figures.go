@@ -1,5 +1,13 @@
 // Package figures regenerates every table and figure of the paper's
-// evaluation section (Figures 1 and 4-7) over the synthetic suite.
+// evaluation section (Figures 1 and 4-7) over the synthetic suite,
+// plus the reproduction's extension figures (8 and 9), the heuristic
+// ablation and the syntactic baseline.
+//
+// Most of them are one experiment shape, a set of jobs run on a set of
+// subjects, and fleet runs it: each subject's context-insensitive solve
+// is both its insens row and every introspective job's pre-pass. run
+// is the one place a figure calls analysis.RunAll and the one place a
+// budget-capped run becomes a TIMEOUT row.
 //
 // The numbers are not expected to match the paper's absolute values
 // (the substrate differs); the *shape* — which analyses time out on
@@ -12,13 +20,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"introspect/internal/analysis"
 	"introspect/internal/introspect"
 	"introspect/internal/obs"
-	"introspect/internal/pta"
 	"introspect/internal/report"
 	"introspect/internal/suite"
 )
@@ -53,38 +61,39 @@ func (c Config) Limits() analysis.Limits {
 	return analysis.Limits{Budget: b}
 }
 
-// rowOf renders one fleet outcome as a table row. A budget-exhausted
-// main pass is a reportable outcome (the figures' TIMEOUT rows), so
-// only a budget error without a measured result — or any other error —
-// propagates.
-func rowOf(req analysis.Request, rr analysis.RunResult) (report.Row, error) {
-	if rr.Err != nil {
-		var be *analysis.BudgetExceededError
-		if !errors.As(rr.Err, &be) || rr.Result == nil || rr.Result.Precision == nil {
-			return report.Row{}, rr.Err
-		}
-	}
-	return report.Row{Benchmark: req.Source.Bench, Precision: *rr.Result.Precision}, nil
+// request builds the figure run of one job on one suite subject.
+func (c Config) request(bench string, job analysis.Job) analysis.Request {
+	return analysis.Request{Source: &analysis.Source{Bench: bench}, Job: job, Limits: c.Limits()}
 }
 
-// instrument applies the Config's tracing to a fleet: with a tracer
-// set, each request gets its own track (so concurrent runs render on
-// separate lanes) on top of any observer it already carries. Every
-// fleet must pass through here before RunAll, or its runs would be
-// missing from the trace.
-func (c Config) instrument(reqs []analysis.Request) {
-	if c.Tracer == nil {
-		return
+// run executes the requests through the bounded-parallel fleet runner
+// and returns their results in request order. It is the package's one
+// call of analysis.RunAll. A main pass that ran out of budget is a
+// reportable outcome, the figures' TIMEOUT rows, whose Result still
+// carries Main and Precision; any other error fails the figure, a
+// capped pre-pass included. With a tracer set, each run gets its own
+// track, so concurrent runs render on separate lanes.
+func run(cfg Config, reqs []analysis.Request) ([]*analysis.Result, error) {
+	if cfg.Tracer != nil {
+		for i := range reqs {
+			track := cfg.Tracer.NewTrack(benchOf(reqs[i]) + " " + reqs[i].Job.Spec)
+			reqs[i].Observer = analysis.Observers(reqs[i].Observer, analysis.TrackObserver(track))
+		}
 	}
-	for i := range reqs {
-		track := c.Tracer.NewTrack(benchOf(reqs[i]) + " " + reqs[i].Job.Spec)
-		reqs[i].Observer = analysis.Observers(reqs[i].Observer, analysis.TrackObserver(track))
+	out := make([]*analysis.Result, len(reqs))
+	for i, rr := range analysis.RunAll(context.Background(), reqs, cfg.Parallel) {
+		var be *analysis.BudgetExceededError
+		if rr.Err != nil && !(errors.As(rr.Err, &be) && be.Stage == analysis.StageMainPass) {
+			return nil, rr.Err
+		}
+		out[i] = rr.Result
 	}
+	return out, nil
 }
 
 // benchOf names a request's subject for display: the frontend input
 // for Source-carrying requests, the program name for pre-built ones
-// (the taint fleet hands RunAll merged programs directly).
+// (the taint figure hands RunAll merged programs directly).
 func benchOf(req analysis.Request) string {
 	if req.Source != nil {
 		return req.Source.Bench
@@ -95,53 +104,74 @@ func benchOf(req analysis.Request) string {
 	return "?"
 }
 
-// runAll executes the requests through the bounded-parallel fleet
-// runner and renders each outcome as a table row, in request order.
-func runAll(cfg Config, reqs []analysis.Request) ([]report.Row, error) {
-	cfg.instrument(reqs)
-	rows := make([]report.Row, len(reqs))
-	for i, rr := range analysis.RunAll(context.Background(), reqs, cfg.Parallel) {
-		row, err := rowOf(reqs[i], rr)
-		if err != nil {
+// specJobs returns one plain job per spec.
+func specJobs(specs ...string) []analysis.Job {
+	jobs := make([]analysis.Job, len(specs))
+	for i, s := range specs {
+		jobs[i] = analysis.Job{Spec: s}
+	}
+	return jobs
+}
+
+// fleet runs every job on every subject and returns one row per pair,
+// subject-major, in job order. When any job has a pre-pass, each
+// subject is first solved context-insensitively once: that solve is
+// the subject's insens row and every introspective job's
+// Request.First, so a subject's pre-pass is solved once however many
+// variants use it. The rows are identical either way, because the
+// pre-pass is a pure function of the program. A subject whose
+// insensitive solve timed out injects nothing, and its introspective
+// runs then fail on their own capped pre-pass.
+func fleet(cfg Config, subjects []string, jobs []analysis.Job) ([]report.Row, error) {
+	insens := analysis.Job{Spec: "insens"}
+	firsts := make([]*analysis.Result, len(subjects))
+	if slices.ContainsFunc(jobs, analysis.Job.NeedsPrePass) {
+		reqs := make([]analysis.Request, len(subjects))
+		for i, b := range subjects {
+			reqs[i] = cfg.request(b, insens)
+		}
+		var err error
+		if firsts, err = run(cfg, reqs); err != nil {
 			return nil, err
 		}
-		rows[i] = row
+	}
+	results := make([]*analysis.Result, len(subjects)*len(jobs))
+	var reqs []analysis.Request
+	var at []int
+	for i, b := range subjects {
+		for j, job := range jobs {
+			first := firsts[i]
+			if first != nil && job == insens {
+				results[i*len(jobs)+j] = first
+				continue
+			}
+			req := cfg.request(b, job)
+			if first != nil && first.Main.Complete && job.NeedsPrePass() {
+				req.First = first.Main
+			}
+			reqs = append(reqs, req)
+			at = append(at, i*len(jobs)+j)
+		}
+	}
+	done, err := run(cfg, reqs)
+	if err != nil {
+		return nil, err
+	}
+	for n, res := range done {
+		results[at[n]] = res
+	}
+	rows := make([]report.Row, len(results))
+	for k, res := range results {
+		rows[k] = report.Row{Benchmark: subjects[k/len(jobs)], Precision: *res.Precision}
 	}
 	return rows, nil
-}
-
-// fullReq builds a plain single-pass analysis request.
-func fullReq(name, spec string, lim analysis.Limits) analysis.Request {
-	return analysis.Request{
-		Source: &analysis.Source{Bench: name},
-		Job:    analysis.Job{Spec: spec},
-		Limits: lim,
-	}
-}
-
-// introReq builds an introspective-pipeline request: deep analysis
-// plus variant suffix, with optional threshold overrides — everything
-// expressed as serializable Job data, so the figure fleets exercise
-// exactly the requests cmd/ptad accepts on the wire.
-func introReq(name, deep, variant string, th *analysis.Thresholds, lim analysis.Limits) analysis.Request {
-	return analysis.Request{
-		Source: &analysis.Source{Bench: name},
-		Job:    analysis.Job{Spec: deep + "-" + variant, Thresholds: th},
-		Limits: lim,
-	}
 }
 
 // Fig1 reproduces Figure 1: context-insensitive vs 2objH running cost
 // on all nine benchmarks, demonstrating the bimodal behavior of deep
 // context-sensitivity.
 func Fig1(cfg Config) ([]report.Row, error) {
-	var reqs []analysis.Request
-	for _, b := range suite.Names() {
-		for _, a := range []string{"insens", "2objH"} {
-			reqs = append(reqs, fullReq(b, a, cfg.Limits()))
-		}
-	}
-	return runAll(cfg, reqs)
+	return fleet(cfg, suite.Names(), specJobs("insens", "2objH"))
 }
 
 // Fig4Row is one line of the Figure 4 table: the percentage of call
@@ -157,25 +187,22 @@ func Fig4(cfg Config) ([]Fig4Row, error) {
 	subjects := suite.Figure4Subjects()
 	reqs := make([]analysis.Request, len(subjects))
 	for i, b := range subjects {
-		reqs[i] = fullReq(b, "insens", cfg.Limits())
+		reqs[i] = cfg.request(b, analysis.Job{Spec: "insens"})
 	}
-	cfg.instrument(reqs)
-	var rows []Fig4Row
-	for i, rr := range analysis.RunAll(context.Background(), reqs, cfg.Parallel) {
-		if rr.Err != nil {
-			var be *analysis.BudgetExceededError
-			if !errors.As(rr.Err, &be) || rr.Result == nil || rr.Result.Main == nil {
-				return nil, rr.Err
-			}
-		}
-		m := introspect.Compute(rr.Result.Main)
-		selA := introspect.SelectWith(rr.Result.Main, m, introspect.DefaultA(), false)
-		selB := introspect.SelectWith(rr.Result.Main, m, introspect.DefaultB(), false)
-		rows = append(rows, Fig4Row{
+	results, err := run(cfg, reqs)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Fig4Row, len(subjects))
+	for i, res := range results {
+		m := introspect.Compute(res.Main)
+		selA := introspect.SelectWith(res.Main, m, introspect.DefaultA(), false)
+		selB := introspect.SelectWith(res.Main, m, introspect.DefaultB(), false)
+		rows[i] = Fig4Row{
 			Benchmark:  subjects[i],
 			CallSitesA: selA.PctCallSites(), CallSitesB: selB.PctCallSites(),
 			ObjectsA: selA.PctObjects(), ObjectsB: selB.PctObjects(),
-		})
+		}
 	}
 	return rows, nil
 }
@@ -212,56 +239,12 @@ func Variants(deep string) []string {
 
 // FigPerf reproduces one of Figures 5 (deep="2objH"), 6 ("2typeH"), or
 // 7 ("2callH"): running cost plus the three precision metrics for the
-// four analysis variants over the six experimental subjects.
-//
-// The insensitive fleet runs first and doubles as the introspective
-// variants' pre-pass (Request.First), so each benchmark is solved
-// context-insensitively once instead of three times. The rows are
-// identical either way — the pre-pass is a pure function of the
-// program.
+// four analysis variants over the six experimental subjects, in the
+// charts' order (subject-major, Variants order). It is one fleet, so
+// each subject is solved context-insensitively once, for its insens
+// row and both introspective variants' pre-pass.
 func FigPerf(cfg Config, deep string) ([]report.Row, error) {
-	subjects := suite.ExperimentalSubjects()
-	insReqs := make([]analysis.Request, len(subjects))
-	for i, b := range subjects {
-		insReqs[i] = fullReq(b, "insens", cfg.Limits())
-	}
-	cfg.instrument(insReqs)
-	insRes := analysis.RunAll(context.Background(), insReqs, cfg.Parallel)
-
-	insRows := make([]report.Row, len(subjects))
-	var rest []analysis.Request
-	for i, b := range subjects {
-		row, err := rowOf(insReqs[i], insRes[i])
-		if err != nil {
-			return nil, err
-		}
-		insRows[i] = row
-		first := sharedFirst(insRes[i])
-		ra := introReq(b, deep, "IntroA", nil, cfg.Limits())
-		rb := introReq(b, deep, "IntroB", nil, cfg.Limits())
-		ra.First, rb.First = first, first
-		rest = append(rest, ra, rb, fullReq(b, deep, cfg.Limits()))
-	}
-	restRows, err := runAll(cfg, rest)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]report.Row, 0, 4*len(subjects))
-	for i := range subjects {
-		rows = append(rows, insRows[i], restRows[3*i], restRows[3*i+1], restRows[3*i+2])
-	}
-	return rows, nil
-}
-
-// sharedFirst extracts from an insensitive fleet outcome a result
-// suitable for injection as Request.First. A failed or timed-out run
-// yields nil: the introspective pipeline then solves its own pre-pass
-// and reproduces the original (failing) behavior exactly.
-func sharedFirst(rr analysis.RunResult) *pta.Result {
-	if rr.Err != nil || rr.Result == nil || rr.Result.Main == nil || !rr.Result.Main.Complete {
-		return nil
-	}
-	return rr.Result.Main
+	return fleet(cfg, suite.ExperimentalSubjects(), specJobs(Variants(deep)...))
 }
 
 // FigNumber maps a deep analysis to its paper figure number.
@@ -277,10 +260,11 @@ func FigNumber(deep string) int {
 	return 0
 }
 
-// Summary computes, for a set of FigPerf rows, the precision retention
-// of each introspective variant: the fraction of the insens→full
-// precision delta that the variant preserves, averaged over benchmarks
-// where the full analysis terminated and over the three metrics.
+// Summary computes, for a figure's rows, the precision retention of
+// each variant: the fraction of the insens→full precision delta that
+// the variant preserves, averaged over benchmarks where the full
+// analysis terminated and over the three metrics. The introspective
+// variants count under "A" and "B", a cut-shortcut row under "cs".
 func Summary(rows []report.Row) map[string]float64 {
 	byBench := map[string]map[string]report.Row{}
 	for _, r := range rows {
@@ -288,11 +272,12 @@ func Summary(rows []report.Row) map[string]float64 {
 			byBench[r.Benchmark] = map[string]report.Row{}
 		}
 		key := r.Analysis
-		if strings.HasSuffix(key, "-IntroA") {
+		switch {
+		case strings.HasSuffix(key, "-IntroA"):
 			key = "A"
-		} else if strings.HasSuffix(key, "-IntroB") {
+		case strings.HasSuffix(key, "-IntroB"):
 			key = "B"
-		} else if key != "insens" {
+		case key != "insens" && key != "cs":
 			key = "full"
 		}
 		byBench[r.Benchmark][key] = r
@@ -304,7 +289,7 @@ func Summary(rows []report.Row) map[string]float64 {
 		if full.TimedOut || ins.Analysis == "" || full.Analysis == "" {
 			continue
 		}
-		for _, v := range []string{"A", "B"} {
+		for _, v := range []string{"A", "B", "cs"} {
 			r, ok := m[v]
 			if !ok || r.TimedOut {
 				continue
@@ -333,7 +318,8 @@ func Summary(rows []report.Row) map[string]float64 {
 }
 
 // SortRows orders rows benchmark-major in suite display order, variant
-// minor in Variants order — the layout of the paper's charts.
+// minor in Variants order — the layout of the paper's charts, in which
+// FigPerf already returns them.
 func SortRows(rows []report.Row, deep string) {
 	benchOrder := map[string]int{}
 	for i, b := range suite.Names() {
