@@ -114,14 +114,14 @@ func specJobs(specs ...string) []analysis.Job {
 }
 
 // fleet runs every job on every subject and returns one row per pair,
-// subject-major, in job order. When any job has a pre-pass, each
-// subject is first solved context-insensitively once: that solve is
-// the subject's insens row and every introspective job's
-// Request.First, so a subject's pre-pass is solved once however many
-// variants use it. The rows are identical either way, because the
-// pre-pass is a pure function of the program. A subject whose
-// insensitive solve timed out injects nothing, and its introspective
-// runs then fail on their own capped pre-pass.
+// subject-major, in job order, whatever order the runs are dispatched
+// in. When any job has a pre-pass, each subject is first solved
+// context-insensitively once: that solve is the subject's insens row
+// and every introspective job's Request.First, so a subject's pre-pass
+// is solved once however many variants use it. The rows are identical
+// either way, because the pre-pass is a pure function of the program.
+// A subject whose insensitive solve timed out injects nothing, and its
+// introspective runs then fail on their own capped pre-pass.
 func fleet(cfg Config, subjects []string, jobs []analysis.Job) ([]report.Row, error) {
 	insens := analysis.Job{Spec: "insens"}
 	firsts := make([]*analysis.Result, len(subjects))
@@ -135,22 +135,30 @@ func fleet(cfg Config, subjects []string, jobs []analysis.Job) ([]report.Row, er
 			return nil, err
 		}
 	}
+	// The runs without a pre-pass (the full deep analysis, cs) are
+	// dispatched before the introspective ones: they are the longest,
+	// and one dispatched last, often a capped run, would end the fleet
+	// running alone while the other workers sit idle.
 	results := make([]*analysis.Result, len(subjects)*len(jobs))
 	var reqs []analysis.Request
 	var at []int
-	for i, b := range subjects {
-		for j, job := range jobs {
-			first := firsts[i]
-			if first != nil && job == insens {
-				results[i*len(jobs)+j] = first
-				continue
+	for _, pre := range []bool{false, true} {
+		for i, b := range subjects {
+			for j, job := range jobs {
+				k, first := i*len(jobs)+j, firsts[i]
+				if job.NeedsPrePass() != pre {
+					continue
+				}
+				if first != nil && job == insens {
+					results[k] = first
+					continue
+				}
+				req := cfg.request(b, job)
+				if pre && first != nil && first.Main.Complete {
+					req.First = first.Main
+				}
+				reqs, at = append(reqs, req), append(at, k)
 			}
-			req := cfg.request(b, job)
-			if first != nil && first.Main.Complete && job.NeedsPrePass() {
-				req.First = first.Main
-			}
-			reqs = append(reqs, req)
-			at = append(at, i*len(jobs)+j)
 		}
 	}
 	done, err := run(cfg, reqs)
