@@ -485,9 +485,11 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 	if runErr != nil {
 		var be *analysis.BudgetExceededError
 		switch {
-		case errors.As(runErr, &be) && res != nil && res.Main != nil:
-			// Deterministic, reportable outcome (the paper's TIMEOUT
-			// rows): fall through and cache it like a success.
+		case errors.As(runErr, &be) && res != nil:
+			// Deterministic, reportable outcome, whichever pass ran out
+			// (a capped main pass is the paper's TIMEOUT rows): fall
+			// through and cache it like a success. A capped pre-pass's
+			// document is incomplete, with no precision.
 		case ctx.Err() != nil:
 			return nil, errf(CodeDeadline, "deadline expired after %s", deadlineStage(res))
 		default:

@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"regexp"
 	"strings"
@@ -200,6 +203,46 @@ func TestBudgetExhaustedIsCacheable(t *testing.T) {
 	}
 	if canonical(t, cold) != canonical(t, hit) {
 		t.Error("cached exhausted outcome diverges from the cold one")
+	}
+}
+
+// TestPrePassBudgetIsCacheable pins that an introspective job whose
+// pre-pass runs out of budget is served and cached like a capped main
+// pass: a 200 with complete=false whose last stage is the capped
+// pre-pass, then a hit from the one solve, and no internal error.
+func TestPrePassBudgetIsCacheable(t *testing.T) {
+	svc := service.MustNew(service.Config{Workers: 1})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	src := irText(t, randprog.Generate(6, randprog.Default()))
+	var docs []*analysis.RunJSON
+	for i := 0; i < 2; i++ {
+		resp, err := http.Post(srv.URL+"/v1/analyze?lang=ir&spec=2objH-IntroA&budget=20", "text/plain", strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc analysis.RunJSON
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &doc) != nil {
+			t.Fatalf("POST %d: status %d: %s", i+1, resp.StatusCode, body)
+		}
+		docs = append(docs, &doc)
+	}
+	cold, hit := docs[0], docs[1]
+	last := cold.Stages[len(cold.Stages)-1]
+	if cold.Complete || cold.Precision != nil || last.Stage != analysis.StagePrePass || !last.BudgetExceeded {
+		t.Errorf("complete=%v precision=%v, last stage %s budget_exceeded=%v; want an incomplete document ending in the capped pre-pass",
+			cold.Complete, cold.Precision, last.Stage, last.BudgetExceeded)
+	}
+	if hit.Cache != "hit" || canonical(t, cold) != canonical(t, hit) {
+		t.Errorf("repeat: cache %q, same document %v; want an identical hit", hit.Cache, canonical(t, cold) == canonical(t, hit))
+	}
+	if m := svc.Metrics(); m.Solves != 1 || m.InternalErrs != 0 {
+		t.Errorf("solves %d, internal_errors %d; want 1 and 0", m.Solves, m.InternalErrs)
 	}
 }
 
