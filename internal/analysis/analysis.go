@@ -78,7 +78,7 @@ type Request struct {
 	Limits Limits
 	// Provenance enables the solver's derivation-witness recorder on
 	// every pass (pta.Options.Provenance): each pass's Result can then
-	// reconstruct alloc-to-use witness paths via Explain/ExplainHeap,
+	// reconstruct alloc-to-use witness paths via ExplainHeap,
 	// which internal/checkers attaches to diagnostics. Propagation takes
 	// the same word-level path either way; recording adds one stamp per
 	// word of new bits an edge push produces, so figure runs leave it

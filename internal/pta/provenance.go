@@ -89,7 +89,7 @@ func (p *provRecorder) source(n, hc int32) (int32, bool) {
 // --- post-solve reconstruction ---
 
 // ProvenanceEnabled reports whether this result was produced with
-// Options.Provenance set, i.e. whether Explain can reconstruct
+// Options.Provenance set, i.e. whether ExplainHeap can reconstruct
 // derivation witnesses.
 func (r *Result) ProvenanceEnabled() bool { return r.s.prov != nil }
 
@@ -222,21 +222,6 @@ func (r *Result) witnessFromChain(chain []int32, hc int32) *Witness {
 		}
 	}
 	return w
-}
-
-// Explain reconstructs how the fact "(v, ctx) points to hc" was first
-// derived. It returns ok=false if provenance recording was disabled,
-// the (v, ctx) node does not exist, or the fact does not hold.
-func (r *Result) Explain(v ir.VarID, ctx Ctx, hc int32) (*Witness, bool) {
-	n, ok := r.s.nodeIdx.get(nodeKey(varNode, int32(v), int32(ctx)))
-	if !ok {
-		return nil, false
-	}
-	chain, ok := r.explainChain(n, hc)
-	if !ok {
-		return nil, false
-	}
-	return r.witnessFromChain(chain, hc), true
 }
 
 // ExplainHeap reconstructs a derivation witness for "v may point to an

@@ -292,9 +292,9 @@ func TestExplainAPI(t *testing.T) {
 	}
 
 	// The box object flows directly: alloc -> box.
-	w2, ok := res.Explain(box, EmptyCtx, findHC(res, hBox))
+	w2, ok := res.ExplainHeap(box, hBox)
 	if !ok || len(w2.Steps) != 2 {
-		t.Fatalf("Explain(box) = %v, %v; want 2-step witness", w2, ok)
+		t.Fatalf("ExplainHeap(box) = %v, %v; want 2-step witness", w2, ok)
 	}
 
 	// Absent facts and disabled recorders return ok=false.
@@ -311,16 +311,6 @@ func TestExplainAPI(t *testing.T) {
 	if strings.Contains(plain.Analysis, "prov") {
 		t.Error("provenance must not rename the analysis")
 	}
-}
-
-// findHC returns the hc id of heap h's (sole) context-qualified object.
-func findHC(res *Result, h ir.HeapID) int32 {
-	for hc := range res.s.hcHeap {
-		if res.s.hcHeap[hc] == h {
-			return int32(hc)
-		}
-	}
-	return -1
 }
 
 // FuzzProvenanceReplay fuzzes the witness-validity property through the

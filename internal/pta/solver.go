@@ -36,7 +36,7 @@ type Options struct {
 	SnapshotEvery int64
 	// Provenance enables the derivation-witness recorder: for every
 	// points-to fact the solver notes the constraint edge that first
-	// derived it, so Result.Explain can reconstruct a shortest
+	// derived it, so Result.ExplainHeap can reconstruct a shortest
 	// derivation path (alloc → … → use) post-solve. Propagation stays
 	// on the word-parallel kernels either way; recording appends one
 	// stamp per word of new bits an edge push produces. Disabled it
@@ -939,8 +939,8 @@ func (s *solver) processUses(n int32, d *bits.Set) {
 // finalize indexes var nodes by var id and releases the state that
 // only the solve needs, so a Result held after Solve keeps what its
 // methods read: nodes and their points-to sets, the edge arena
-// (ConstraintStats), nodeIdx (Explain), the call graph and the
-// interned heap and method contexts.
+// (ConstraintStats), the call graph and the interned heap and method
+// contexts.
 func (s *solver) finalize() {
 	// A counting sort by var id, stable in node order.
 	nv := s.prog.NumVars()
@@ -966,7 +966,7 @@ func (s *solver) finalize() {
 		}
 	}
 
-	s.edgeSeen, s.hcIdx, s.mcIdx = pairSet{}, internTable{}, internTable{}
+	s.edgeSeen, s.nodeIdx, s.hcIdx, s.mcIdx = pairSet{}, internTable{}, internTable{}, internTable{}
 	s.filters = nil
 	s.wl, s.inWL, s.pendingMC = nil, nil, nil
 	s.deltas, s.freeDelta, s.deltaSlot, s.deltaLen = nil, nil, nil, nil
