@@ -95,11 +95,11 @@ func (t *internTable) rehash() {
 	t.vals = vals
 }
 
-// pairSet is a set of (uint64, uint64) keys with insertion-order
-// iteration: an open-addressing slot table indexing into dense entry
-// arrays. It backs the call-graph-edge set (whose 128-bit keys do not
-// fit internTable) and the constraint-edge dedup set. The zero value is
-// an empty set ready to use.
+// pairSet is a set of (uint64, uint64) keys: an open-addressing slot
+// table indexing into dense entry arrays, which also hold the keys a
+// rehash reinserts. It backs the call-graph-edge set (whose 128-bit
+// keys do not fit internTable) and the constraint-edge dedup set. The
+// zero value is an empty set ready to use.
 type pairSet struct {
 	slots  []int32 // index into e1/e2, -1 = empty
 	e1, e2 []uint64
@@ -132,32 +132,8 @@ func (p *pairSet) insert(a, b uint64) bool {
 	return true
 }
 
-// has reports whether (a, b) is in the set.
-func (p *pairSet) has(a, b uint64) bool {
-	if len(p.slots) == 0 {
-		return false
-	}
-	mask := uint64(len(p.slots) - 1)
-	for i := pairHash(a, b) & mask; ; i = (i + 1) & mask {
-		s := p.slots[i]
-		if s < 0 {
-			return false
-		}
-		if p.e1[s] == a && p.e2[s] == b {
-			return true
-		}
-	}
-}
-
 // len returns the number of pairs in the set.
 func (p *pairSet) len() int { return len(p.e1) }
-
-// forEach visits the pairs in insertion order.
-func (p *pairSet) forEach(fn func(a, b uint64)) {
-	for i := range p.e1 {
-		fn(p.e1[i], p.e2[i])
-	}
-}
 
 func (p *pairSet) rehash() {
 	size := 2 * len(p.slots)

@@ -9,8 +9,7 @@ import (
 // The intern tables replace Go maps on the solver's hottest paths, so
 // their contract is checked against the map they replaced: a random
 // operation sequence must leave internTable indistinguishable from
-// map[uint64]int32, and pairSet from a pair-keyed map plus an
-// insertion-order log.
+// map[uint64]int32, and pairSet from a pair-keyed set.
 
 // internOps drives an internTable and a reference map through the same
 // get/put sequence, failing on the first divergence. Keys are drawn
@@ -65,31 +64,17 @@ func TestPairSetMatchesMap(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		var p pairSet
 		ref := make(map[[2]uint64]bool)
-		var order [][2]uint64
 		n := 1 + r.Intn(2000)
 		for i := 0; i < n; i++ {
 			k := [2]uint64{uint64(r.Intn(128)), uint64(r.Intn(128)) << 33}
-			if p.has(k[0], k[1]) != ref[k] {
-				t.Fatalf("op %d: has(%v) = %v, want %v", i, k, !ref[k], ref[k])
+			if p.insert(k[0], k[1]) == ref[k] {
+				t.Fatalf("op %d: insert(%v) = %v, want %v (membership)", i, k, ref[k], !ref[k])
 			}
-			if p.insert(k[0], k[1]) != !ref[k] {
-				t.Fatalf("op %d: insert(%v) reported wrong novelty", i, k)
-			}
-			if !ref[k] {
-				ref[k] = true
-				order = append(order, k)
-			}
-			if p.len() != len(order) {
-				t.Fatalf("op %d: len = %d, want %d", i, p.len(), len(order))
+			ref[k] = true
+			if p.len() != len(ref) {
+				t.Fatalf("op %d: len = %d, want %d", i, p.len(), len(ref))
 			}
 		}
-		i := 0
-		p.forEach(func(a, b uint64) {
-			if k := [2]uint64{a, b}; k != order[i] {
-				t.Fatalf("forEach[%d] = %v, want %v (insertion order)", i, k, order[i])
-			}
-			i++
-		})
 	}
 }
 

@@ -90,15 +90,6 @@ func (r *Result) InvoReached(i ir.InvoID) bool { return len(r.s.invoTargets[i]) 
 // edges (invo, callerCtx, meth, calleeCtx).
 func (r *Result) NumCallGraphEdges() int { return r.s.cgSeen.len() }
 
-// ForEachCallGraphEdge visits every context-qualified call-graph edge,
-// in the deterministic order the edges were discovered.
-func (r *Result) ForEachCallGraphEdge(fn func(invo ir.InvoID, callerCtx Ctx, meth ir.MethodID, calleeCtx Ctx)) {
-	r.s.cgSeen.forEach(func(a, b uint64) {
-		invo, callerCtx, meth, calleeCtx := cgUnpack(a, b)
-		fn(invo, callerCtx, meth, calleeCtx)
-	})
-}
-
 // --- heap-context pairs ---
 
 // HeapOf maps an hc id (element of a points-to set) to its allocation

@@ -153,15 +153,10 @@ type nodeUses struct {
 }
 
 // cgPack packs a context-qualified call-graph edge (invo, callerCtx,
-// meth, calleeCtx) into the pairSet's two-word key; cgUnpack inverts it.
+// meth, calleeCtx) into the pairSet's two-word key.
 func cgPack(invo ir.InvoID, callerCtx Ctx, meth ir.MethodID, calleeCtx Ctx) (uint64, uint64) {
 	return uint64(uint32(invo))<<32 | uint64(uint32(callerCtx)),
 		uint64(uint32(meth))<<32 | uint64(uint32(calleeCtx))
-}
-
-func cgUnpack(a, b uint64) (ir.InvoID, Ctx, ir.MethodID, Ctx) {
-	return ir.InvoID(int32(a >> 32)), Ctx(int32(uint32(a))),
-		ir.MethodID(int32(b >> 32)), Ctx(int32(uint32(b)))
 }
 
 // filterCache memoizes cast-filter verdicts per hc id for one filter

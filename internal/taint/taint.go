@@ -155,7 +155,6 @@ type Injection struct {
 
 	sourceOf map[ir.HeapID]ir.MethodID
 	sinks    map[ir.MethodID]bool
-	sans     map[ir.MethodID]bool
 }
 
 // IsTaintHeap reports whether h is a synthetic taint object.
@@ -174,9 +173,6 @@ func (inj *Injection) SourceOf(h ir.HeapID) (ir.MethodID, bool) {
 // IsSink reports whether m is a matched sink method.
 func (inj *Injection) IsSink(m ir.MethodID) bool { return inj.sinks[m] }
 
-// IsSanitizer reports whether m is a matched sanitizer method.
-func (inj *Injection) IsSanitizer(m ir.MethodID) bool { return inj.sans[m] }
-
 // Inject derives a taint-instrumented copy of prog per spec: a taint
 // allocation into each source's return, a cleansing cast around each
 // sanitizer's return. prog itself is not modified. Methods matched by
@@ -192,7 +188,6 @@ func Inject(prog *ir.Program, spec *Spec) (*ir.Program, *Injection, error) {
 		Spec:     spec,
 		sourceOf: make(map[ir.HeapID]ir.MethodID),
 		sinks:    make(map[ir.MethodID]bool),
-		sans:     make(map[ir.MethodID]bool),
 	}
 	matchSet := func(pats []string) map[ir.MethodID]bool {
 		set := make(map[ir.MethodID]bool)
@@ -228,10 +223,6 @@ func Inject(prog *ir.Program, spec *Spec) (*ir.Program, *Injection, error) {
 	for _, m := range inj.Sinks {
 		inj.sinks[m] = true
 	}
-	for _, m := range inj.Sanitizers {
-		inj.sans[m] = true
-	}
-
 	d := prog.Derive()
 	if d.HasType(TaintClass) {
 		return nil, nil, fmt.Errorf("taint: program %q already defines %s", prog.Name, TaintClass)
