@@ -6,7 +6,7 @@
 //	introbench             # all figures
 //	introbench -fig 5      # just Figure 5 (2objH variants)
 //	introbench -budget N   # override the timeout budget
-//	introbench -parallel N # cap concurrent analysis runs (0 = GOMAXPROCS)
+//	introbench -parallel N # cap concurrent analysis runs (0 = NumCPU)
 //	introbench -trace t.json # record the figure fleets as a Chrome trace
 //
 // Figure numbers follow the paper: 1 (insens vs 2objH, all benchmarks),
@@ -43,7 +43,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("introbench", flag.ContinueOnError)
 	fig := fs.Int("fig", 0, "figure to regenerate (1, 4, 5, 6, 7, 8 for the cut-shortcut extension, or 9 for the taint client); 0 = all")
 	budget := fs.Int64("budget", 0, "work budget standing in for the paper's 90min timeout (0 = default)")
-	parallel := fs.Int("parallel", 0, "concurrent analysis runs per figure (0 = GOMAXPROCS); output is identical at any setting")
+	parallel := fs.Int("parallel", 0, "concurrent analysis runs per figure (0 = NumCPU); output is identical at any setting")
 	ablation := fs.Bool("ablation", false, "run the heuristic-constant robustness sweep instead of the figures")
 	syntactic := fs.Bool("syntactic", false, "run the traditional syntactic-heuristics baseline on the pathological benchmarks")
 	traceOut := fs.String("trace", "", "write the figure fleets as a Chrome trace-event JSON file (open in Perfetto); one lane per analysis run")

@@ -37,7 +37,7 @@ type Config struct {
 	// 90-minute timeout. 0 means DefaultBudget.
 	Budget int64
 	// Parallel is the number of analysis runs in flight at once
-	// (passed to analysis.RunAll): <= 0 means GOMAXPROCS. Figure
+	// (passed to analysis.RunAll): <= 0 means runtime.NumCPU(). Figure
 	// output is identical at any setting — runs are isolated and
 	// rows are assembled in request order.
 	Parallel int
