@@ -8,9 +8,10 @@ import (
 	"introspect/internal/suite"
 )
 
-// runFull runs one analysis on a benchmark and renders it as a row.
-func runFull(name, spec string, cfg Config) (report.Row, error) {
-	res, err := run(cfg, []analysis.Request{cfg.request(name, analysis.Job{Spec: spec})})
+// runFull runs one analysis on a benchmark at the figure budget and
+// renders it as a row.
+func runFull(name, spec string) (report.Row, error) {
+	res, err := run(Config{}, []analysis.Request{Config{}.request(name, analysis.Job{Spec: spec})})
 	if err != nil {
 		return report.Row{}, err
 	}
@@ -32,14 +33,13 @@ func TestHybridAtLeastAsExplosive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow; skipped with -short")
 	}
-	cfg := Config{}
 	agreeOn := map[string]bool{"chart": true, "eclipse": true, "hsqldb": true, "jython": true}
 	for _, b := range suite.ExperimentalSubjects() {
-		obj, err := runFull(b, "2objH", cfg)
+		obj, err := runFull(b, "2objH")
 		if err != nil {
 			t.Fatal(err)
 		}
-		hyb, err := runFull(b, "2hybH", cfg)
+		hyb, err := runFull(b, "2hybH")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestHybridAtLeastAsExplosive(t *testing.T) {
 		}
 	}
 	// Introspection rescues hybrid where it rescues object-sensitivity.
-	row, err := runFull("hsqldb", "2hybH-IntroB", cfg)
+	row, err := runFull("hsqldb", "2hybH-IntroB")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,17 +70,16 @@ func TestDeeperContextExtension(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow; skipped with -short")
 	}
-	cfg := Config{}
 	objTimeouts := map[string]bool{"hsqldb": true, "jython": true}
 	for _, b := range suite.ExperimentalSubjects() {
-		full, err := runFull(b, "3objH", cfg)
+		full, err := runFull(b, "3objH")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if objTimeouts[b] && !full.TimedOut {
 			t.Errorf("%s: 3objH terminated but 2objH does not; deeper context should not be cheaper here", b)
 		}
-		row, err := runFull(b, "3objH-IntroA", cfg)
+		row, err := runFull(b, "3objH-IntroA")
 		if err != nil {
 			t.Fatal(err)
 		}
