@@ -468,12 +468,18 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 	// Pre-pass sharing: inject the program's cached insensitive result
 	// if this pipeline would otherwise solve one. NeedsPrePass is what
 	// the pipeline itself checks, so injection is exactly as valid as a
-	// fresh pre-pass solve. Requests that record provenance skip the
-	// shared result unless it, too, has provenance — witnesses must
-	// stay reconstructible. Taint jobs never share: their pre-pass
-	// solves the taint-instrumented program, not the program the
-	// cached insensitive result was solved over.
+	// fresh pre-pass solve. So is the budget check: the solver stops
+	// only once its work exceeds the budget, so a fresh pre-pass would
+	// complete exactly when the shared result's Work fits the request's
+	// budget (never 0 here; negative is unlimited), and a request it
+	// does not fit solves and caps its own pre-pass, as on a cold
+	// service. Requests that record provenance skip the shared result
+	// unless it, too, has provenance — witnesses must stay
+	// reconstructible. Taint jobs never share: their pre-pass solves
+	// the taint-instrumented program, not the program the cached
+	// insensitive result was solved over.
 	if first := entry.sharedFirst(); first != nil && req.Job.Taint == nil && req.Job.NeedsPrePass() &&
+		(req.Budget < 0 || first.Work <= req.Budget) &&
 		(!req.Provenance || first.ProvenanceEnabled()) {
 		areq.First = first
 		s.metrics.add(&s.metrics.doc.PrePassShared)

@@ -4,9 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"regexp"
 	"strings"
@@ -149,100 +146,83 @@ func TestSingleFlightHammer(t *testing.T) {
 // for: after an insens request, an introspective request for the same
 // source injects the cached insensitive result instead of re-solving
 // the pre-pass — and its response is identical to an unshared run's.
+// At a budget the cached result's work does not fit, the request
+// solves and caps its own pre-pass instead, as an unshared run does.
 func TestPrePassSharing(t *testing.T) {
 	src := holderMJ(t)
 	insens := service.Request{Source: src, Job: analysis.Job{Spec: "insens"}, Budget: -1}
-	intro := service.Request{Source: src, Job: analysis.Job{Spec: "2objH-IntroA"}, Budget: -1}
+	for _, tc := range []struct {
+		budget int64
+		shared uint64 // pre_pass_shared after the introspective run
+	}{{-1, 1}, {20, 0}} {
+		intro := service.Request{Source: src, Job: analysis.Job{Spec: "2objH-IntroA"}, Budget: tc.budget}
 
-	// Cold reference: the introspective run with no sharing possible.
-	ref, serr := service.MustNew(service.Config{Workers: 1}).Analyze(context.Background(), intro)
-	if serr != nil {
-		t.Fatal(serr)
-	}
+		// Cold reference: the introspective run with no sharing possible.
+		ref, serr := service.MustNew(service.Config{Workers: 1}).Analyze(context.Background(), intro)
+		if serr != nil {
+			t.Fatal(serr)
+		}
 
-	svc := service.MustNew(service.Config{Workers: 1})
-	if _, serr := svc.Analyze(context.Background(), insens); serr != nil {
-		t.Fatal(serr)
-	}
-	if m := svc.Metrics(); m.PrePassShared != 0 {
-		t.Fatalf("pre_pass_shared = %d before any introspective run", m.PrePassShared)
-	}
-	shared, serr := svc.Analyze(context.Background(), intro)
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	if m := svc.Metrics(); m.PrePassShared != 1 {
-		t.Errorf("pre_pass_shared = %d, want 1 (insens result not reused)", m.PrePassShared)
-	}
-	if r, s := canonical(t, ref), canonical(t, shared); r != s {
-		t.Errorf("shared pre-pass changed the response:\nref    %s\nshared %s", r, s)
+		svc := service.MustNew(service.Config{Workers: 1})
+		if _, serr := svc.Analyze(context.Background(), insens); serr != nil {
+			t.Fatal(serr)
+		}
+		if m := svc.Metrics(); m.PrePassShared != 0 {
+			t.Fatalf("pre_pass_shared = %d before any introspective run", m.PrePassShared)
+		}
+		shared, serr := svc.Analyze(context.Background(), intro)
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		if m := svc.Metrics(); m.PrePassShared != tc.shared {
+			t.Errorf("budget %d: pre_pass_shared = %d, want %d", tc.budget, m.PrePassShared, tc.shared)
+		}
+		if r, s := canonical(t, ref), canonical(t, shared); r != s {
+			t.Errorf("budget %d: warm insensitive result changed the response:\ncold %s\nwarm %s", tc.budget, r, s)
+		}
 	}
 }
 
 // TestBudgetExhaustedIsCacheable pins that a deterministic
-// out-of-budget outcome is cached like a success: the response has
-// complete=false, and a repeat is a hit with identical counters.
+// out-of-budget outcome is cached like a success, whichever pass runs
+// out: the response has complete=false, a repeat is a hit from the one
+// solve with identical counters, and no internal error is counted. A
+// capped pre-pass ends the document, which then has no precision.
 func TestBudgetExhaustedIsCacheable(t *testing.T) {
-	svc := service.MustNew(service.Config{Workers: 1})
 	src := irText(t, randprog.Generate(6, randprog.Default()))
-	req := service.Request{Lang: "ir", Source: src, Job: analysis.Job{Spec: "2objH"}, Budget: 50}
+	for _, tc := range []struct {
+		spec    string
+		budget  int64
+		prePass bool // the pre-pass is the pass that runs out
+	}{{"2objH", 50, false}, {"2objH-IntroA", 20, true}} {
+		svc := service.MustNew(service.Config{Workers: 1})
+		req := service.Request{Lang: "ir", Source: src, Job: analysis.Job{Spec: tc.spec}, Budget: tc.budget}
 
-	cold, serr := svc.Analyze(context.Background(), req)
-	if serr != nil {
-		t.Fatalf("budget-exhausted run should yield a document, got %v", serr)
-	}
-	if cold.Complete {
-		t.Fatal("budget 50 should not complete; raise the test's program size")
-	}
-	hit, serr := svc.Analyze(context.Background(), req)
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	if hit.Cache != "hit" {
-		t.Errorf("repeat of exhausted run = %q, want hit", hit.Cache)
-	}
-	if canonical(t, cold) != canonical(t, hit) {
-		t.Error("cached exhausted outcome diverges from the cold one")
-	}
-}
-
-// TestPrePassBudgetIsCacheable pins that an introspective job whose
-// pre-pass runs out of budget is served and cached like a capped main
-// pass: a 200 with complete=false whose last stage is the capped
-// pre-pass, then a hit from the one solve, and no internal error.
-func TestPrePassBudgetIsCacheable(t *testing.T) {
-	svc := service.MustNew(service.Config{Workers: 1})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-	src := irText(t, randprog.Generate(6, randprog.Default()))
-	var docs []*analysis.RunJSON
-	for i := 0; i < 2; i++ {
-		resp, err := http.Post(srv.URL+"/v1/analyze?lang=ir&spec=2objH-IntroA&budget=20", "text/plain", strings.NewReader(src))
-		if err != nil {
-			t.Fatal(err)
+		cold, serr := svc.Analyze(context.Background(), req)
+		if serr != nil {
+			t.Fatalf("%s: budget-exhausted run should yield a document, got %v", tc.spec, serr)
 		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
+		if cold.Complete {
+			t.Fatalf("%s: budget %d should not complete; raise the test's program size", tc.spec, tc.budget)
 		}
-		var doc analysis.RunJSON
-		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &doc) != nil {
-			t.Fatalf("POST %d: status %d: %s", i+1, resp.StatusCode, body)
+		if last := cold.Stages[len(cold.Stages)-1]; tc.prePass &&
+			(cold.Precision != nil || last.Stage != analysis.StagePrePass || !last.BudgetExceeded) {
+			t.Errorf("%s: precision %v, last stage %s budget_exceeded=%v; want no precision and the capped pre-pass last",
+				tc.spec, cold.Precision, last.Stage, last.BudgetExceeded)
 		}
-		docs = append(docs, &doc)
-	}
-	cold, hit := docs[0], docs[1]
-	last := cold.Stages[len(cold.Stages)-1]
-	if cold.Complete || cold.Precision != nil || last.Stage != analysis.StagePrePass || !last.BudgetExceeded {
-		t.Errorf("complete=%v precision=%v, last stage %s budget_exceeded=%v; want an incomplete document ending in the capped pre-pass",
-			cold.Complete, cold.Precision, last.Stage, last.BudgetExceeded)
-	}
-	if hit.Cache != "hit" || canonical(t, cold) != canonical(t, hit) {
-		t.Errorf("repeat: cache %q, same document %v; want an identical hit", hit.Cache, canonical(t, cold) == canonical(t, hit))
-	}
-	if m := svc.Metrics(); m.Solves != 1 || m.InternalErrs != 0 {
-		t.Errorf("solves %d, internal_errors %d; want 1 and 0", m.Solves, m.InternalErrs)
+		hit, serr := svc.Analyze(context.Background(), req)
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		if hit.Cache != "hit" {
+			t.Errorf("%s: repeat of exhausted run = %q, want hit", tc.spec, hit.Cache)
+		}
+		if canonical(t, cold) != canonical(t, hit) {
+			t.Errorf("%s: cached exhausted outcome diverges from the cold one", tc.spec)
+		}
+		if m := svc.Metrics(); m.Solves != 1 || m.InternalErrs != 0 {
+			t.Errorf("%s: solves %d, internal_errors %d; want 1 and 0", tc.spec, m.Solves, m.InternalErrs)
+		}
 	}
 }
 
