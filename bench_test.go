@@ -148,7 +148,9 @@ func BenchmarkCutShortcut(b *testing.B) {
 					}
 				}
 				rows = rows[:0]
-				for _, rr := range analysis.RunAll(context.Background(), reqs, 0) {
+				out := make([]analysis.RunResult, len(reqs))
+				analysis.RunAll(context.Background(), reqs, 0, func(i int, rr analysis.RunResult) { out[i] = rr })
+				for _, rr := range out {
 					if rr.Err != nil {
 						var be *analysis.BudgetExceededError
 						if !errors.As(rr.Err, &be) || rr.Result == nil || rr.Result.Precision == nil {

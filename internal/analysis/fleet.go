@@ -16,8 +16,14 @@ type RunResult struct {
 }
 
 // RunAll executes every request through Run on a bounded worker pool
-// and returns the outcomes in request order, so callers can assemble
-// figure rows positionally regardless of completion order.
+// and hands run i's outcome to done(i, rr) as the run ends, on the
+// worker that ran it. done is called exactly once per request, from
+// up to `workers` goroutines at once but never twice for one i, so a
+// caller that writes slot i of its own slice assembles figure rows
+// positionally, regardless of completion order, without a lock.
+// RunAll holds no outcome itself: a caller that keeps only what it
+// reads of each Result lets the rest go as each run ends, not when
+// the whole fleet does.
 //
 // workers <= 0 selects runtime.NumCPU() — the machine's capacity, not
 // GOMAXPROCS, so a lowered GOMAXPROCS (common in container test
@@ -27,7 +33,7 @@ type RunResult struct {
 //
 // Cancelling ctx stops the fleet promptly: in-flight runs abort at
 // their next stage boundary or solver check, and requests not yet
-// started are not started — their slot reports the context error.
+// started are not started — their outcome is the context error.
 // Each run is fully isolated (own pta.Table, own solver state), so
 // concurrent results are bit-for-bit identical to sequential ones.
 //
@@ -35,13 +41,11 @@ type RunResult struct {
 // instance attached to several requests is invoked from up to
 // `workers` goroutines concurrently and must be safe for concurrent
 // use — see the Observer contract.
-func RunAll(ctx context.Context, reqs []Request, workers int) []RunResult {
-	workers = poolSize(workers, len(reqs))
-
-	out := make([]RunResult, len(reqs))
+func RunAll(ctx context.Context, reqs []Request, workers int, done func(i int, rr RunResult)) {
 	if len(reqs) == 0 {
-		return out
+		return
 	}
+	workers = poolSize(workers, len(reqs))
 
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -51,10 +55,11 @@ func RunAll(ctx context.Context, reqs []Request, workers int) []RunResult {
 			defer wg.Done()
 			for i := range jobs {
 				if err := ctx.Err(); err != nil {
-					out[i].Err = fmt.Errorf("analysis: not started: %w", err)
+					done(i, RunResult{Err: fmt.Errorf("analysis: not started: %w", err)})
 					continue
 				}
-				out[i].Result, out[i].Err = Run(ctx, reqs[i])
+				res, err := Run(ctx, reqs[i])
+				done(i, RunResult{Result: res, Err: err})
 			}
 		}()
 	}
@@ -63,7 +68,6 @@ func RunAll(ctx context.Context, reqs []Request, workers int) []RunResult {
 	}
 	close(jobs)
 	wg.Wait()
-	return out
 }
 
 // poolSize resolves the worker-count parameter of RunAll: non-positive

@@ -13,10 +13,17 @@ import (
 	"introspect/internal/suite"
 )
 
+// runAll collects a fleet's outcomes in request order.
+func runAll(ctx context.Context, reqs []analysis.Request, workers int) []analysis.RunResult {
+	out := make([]analysis.RunResult, len(reqs))
+	analysis.RunAll(ctx, reqs, workers, func(i int, rr analysis.RunResult) { out[i] = rr })
+	return out
+}
+
 // TestRunAllMatchesSequential pins the fleet runner's two core
-// guarantees: results come back in request order, and running
-// concurrently changes nothing about the analysis — every run is
-// bit-for-bit identical to its sequential counterpart.
+// guarantees: each outcome comes back under its request's index, and
+// running concurrently changes nothing about the analysis — every run
+// is bit-for-bit identical to its sequential counterpart.
 func TestRunAllMatchesSequential(t *testing.T) {
 	progA := randprog.Generate(2, randprog.Default())
 	progB := randprog.Generate(3, randprog.Default())
@@ -38,7 +45,7 @@ func TestRunAllMatchesSequential(t *testing.T) {
 		want[i] = res
 	}
 
-	got := analysis.RunAll(context.Background(), reqs, 4)
+	got := runAll(context.Background(), reqs, 4)
 	if len(got) != len(reqs) {
 		t.Fatalf("got %d results, want %d", len(got), len(reqs))
 	}
@@ -98,7 +105,7 @@ func TestRunAllCancellation(t *testing.T) {
 	}
 
 	start := time.Now()
-	got := analysis.RunAll(ctx, reqs, 2)
+	got := runAll(ctx, reqs, 2)
 	elapsed := time.Since(start)
 
 	if !fired.Load() {
@@ -117,12 +124,12 @@ func TestRunAllCancellation(t *testing.T) {
 // TestRunAllEdgeCases covers the pool-sizing corners: an empty request
 // list, and worker counts above the request count and at/below zero.
 func TestRunAllEdgeCases(t *testing.T) {
-	if got := analysis.RunAll(context.Background(), nil, 3); len(got) != 0 {
-		t.Errorf("empty fleet returned %d results", len(got))
-	}
+	analysis.RunAll(context.Background(), nil, 3, func(i int, _ analysis.RunResult) {
+		t.Errorf("empty fleet handed back outcome %d", i)
+	})
 	prog := randprog.Generate(1, randprog.Default())
 	for _, workers := range []int{-1, 0, 1, 16} {
-		got := analysis.RunAll(context.Background(), []analysis.Request{
+		got := runAll(context.Background(), []analysis.Request{
 			{Prog: prog, Job: analysis.Job{Spec: "insens"}, Limits: analysis.Limits{Budget: -1}},
 		}, workers)
 		if len(got) != 1 || got[0].Err != nil || got[0].Result.Main == nil {

@@ -11,11 +11,11 @@ import (
 // runFull runs one analysis on a benchmark at the figure budget and
 // renders it as a row.
 func runFull(name, spec string) (report.Row, error) {
-	res, err := run(Config{}, []analysis.Request{Config{}.request(name, analysis.Job{Spec: spec})})
-	if err != nil {
-		return report.Row{}, err
-	}
-	return report.Row{Benchmark: name, Precision: *res[0].Precision}, nil
+	var row report.Row
+	err := run(Config{}, []analysis.Request{Config{}.request(name, analysis.Job{Spec: spec})}, func(_ int, res *analysis.Result) {
+		row = report.Row{Benchmark: name, Precision: *res.Precision}
+	})
+	return row, err
 }
 
 // TestHybridAtLeastAsExplosive examines the paper's Section 5

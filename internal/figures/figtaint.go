@@ -69,8 +69,8 @@ func FigTaint(cfg Config) ([]TaintRow, error) {
 			truths = append(truths, gt)
 		}
 	}
-	results, err := run(cfg, reqs)
-	if err != nil {
+	results := make([]*analysis.Result, len(reqs))
+	if err := run(cfg, reqs, func(i int, res *analysis.Result) { results[i] = res }); err != nil {
 		return nil, err
 	}
 	rows := make([]TaintRow, len(reqs))

@@ -17,6 +17,7 @@
 package figures
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -67,28 +68,32 @@ func (c Config) request(bench string, job analysis.Job) analysis.Request {
 }
 
 // run executes the requests through the bounded-parallel fleet runner
-// and returns their results in request order. It is the package's one
+// and hands each run's Result to keep(i, res) as the run ends, on the
+// worker that ran it. A caller keeps what its rows read, so a fleet
+// holds rows, not every Result it solved. run is the package's one
 // call of analysis.RunAll. A main pass that ran out of budget is a
 // reportable outcome, the figures' TIMEOUT rows, whose Result still
 // carries Main and Precision; any other error fails the figure, a
-// capped pre-pass included. With a tracer set, each run gets its own
-// track, so concurrent runs render on separate lanes.
-func run(cfg Config, reqs []analysis.Request) ([]*analysis.Result, error) {
+// capped pre-pass included, and run returns the first in request
+// order. With a tracer set, each run gets its own track, so
+// concurrent runs render on separate lanes.
+func run(cfg Config, reqs []analysis.Request, keep func(i int, res *analysis.Result)) error {
 	if cfg.Tracer != nil {
 		for i := range reqs {
 			track := cfg.Tracer.NewTrack(benchOf(reqs[i]) + " " + reqs[i].Job.Spec)
 			reqs[i].Observer = analysis.Observers(reqs[i].Observer, analysis.TrackObserver(track))
 		}
 	}
-	out := make([]*analysis.Result, len(reqs))
-	for i, rr := range analysis.RunAll(context.Background(), reqs, cfg.Parallel) {
+	errs := make([]error, len(reqs))
+	analysis.RunAll(context.Background(), reqs, cfg.Parallel, func(i int, rr analysis.RunResult) {
 		var be *analysis.BudgetExceededError
 		if rr.Err != nil && !(errors.As(rr.Err, &be) && be.Stage == analysis.StageMainPass) {
-			return nil, rr.Err
+			errs[i] = rr.Err
+			return
 		}
-		out[i] = rr.Result
-	}
-	return out, nil
+		keep(i, rr.Result)
+	})
+	return cmp.Or(errs...)
 }
 
 // benchOf names a request's subject for display: the frontend input
@@ -121,36 +126,43 @@ func specJobs(specs ...string) []analysis.Job {
 // is solved once however many variants use it. The rows are identical
 // either way, because the pre-pass is a pure function of the program.
 // A subject whose insensitive solve timed out injects nothing, and its
-// introspective runs then fail on their own capped pre-pass.
+// introspective runs then fail on their own capped pre-pass. Of every
+// other run the fleet keeps only its row, so what it holds at once is
+// the insensitive results and the runs in flight.
 func fleet(cfg Config, subjects []string, jobs []analysis.Job) ([]report.Row, error) {
 	insens := analysis.Job{Spec: "insens"}
+	rows := make([]report.Row, len(subjects)*len(jobs))
+	setRow := func(k int, res *analysis.Result) {
+		rows[k] = report.Row{Benchmark: subjects[k/len(jobs)], Precision: *res.Precision}
+	}
 	firsts := make([]*analysis.Result, len(subjects))
 	if slices.ContainsFunc(jobs, analysis.Job.NeedsPrePass) {
 		reqs := make([]analysis.Request, len(subjects))
 		for i, b := range subjects {
 			reqs[i] = cfg.request(b, insens)
 		}
-		var err error
-		if firsts, err = run(cfg, reqs); err != nil {
+		if err := run(cfg, reqs, func(i int, res *analysis.Result) { firsts[i] = res }); err != nil {
 			return nil, err
 		}
 	}
 	// The runs without a pre-pass (the full deep analysis, cs) are
 	// dispatched before the introspective ones: they are the longest,
 	// and one dispatched last, often a capped run, would end the fleet
-	// running alone while the other workers sit idle.
-	results := make([]*analysis.Result, len(subjects)*len(jobs))
+	// running alone while the other workers sit idle. Each group goes
+	// job by job, so one subject's variants, which tend to cost alike
+	// (the ablation's jython IntroB runs out of budget at every scale),
+	// are not solved side by side.
 	var reqs []analysis.Request
 	var at []int
 	for _, pre := range []bool{false, true} {
-		for i, b := range subjects {
-			for j, job := range jobs {
+		for j, job := range jobs {
+			for i, b := range subjects {
 				k, first := i*len(jobs)+j, firsts[i]
 				if job.NeedsPrePass() != pre {
 					continue
 				}
 				if first != nil && job == insens {
-					results[k] = first
+					setRow(k, first)
 					continue
 				}
 				req := cfg.request(b, job)
@@ -161,16 +173,8 @@ func fleet(cfg Config, subjects []string, jobs []analysis.Job) ([]report.Row, er
 			}
 		}
 	}
-	done, err := run(cfg, reqs)
-	if err != nil {
+	if err := run(cfg, reqs, func(n int, res *analysis.Result) { setRow(at[n], res) }); err != nil {
 		return nil, err
-	}
-	for n, res := range done {
-		results[at[n]] = res
-	}
-	rows := make([]report.Row, len(results))
-	for k, res := range results {
-		rows[k] = report.Row{Benchmark: subjects[k/len(jobs)], Precision: *res.Precision}
 	}
 	return rows, nil
 }
@@ -197,8 +201,8 @@ func Fig4(cfg Config) ([]Fig4Row, error) {
 	for i, b := range subjects {
 		reqs[i] = cfg.request(b, analysis.Job{Spec: "insens"})
 	}
-	results, err := run(cfg, reqs)
-	if err != nil {
+	results := make([]*analysis.Result, len(subjects))
+	if err := run(cfg, reqs, func(i int, res *analysis.Result) { results[i] = res }); err != nil {
 		return nil, err
 	}
 	rows := make([]Fig4Row, len(subjects))
