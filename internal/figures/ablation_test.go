@@ -2,20 +2,17 @@ package figures
 
 import (
 	"fmt"
-	"math"
 	"testing"
 )
 
-// ablationWant pins every row of the 2objH and 2callH sweeps. Summary
-// sums per-benchmark fractions in map order, so a retention can differ
-// from run to run in its last bit; it is compared within 1e-12.
+// ablationWant pins every row of the 2objH and 2callH sweeps.
 var ablationWant = map[string][]AblationRow{
 	"2objH": {
-		{0.5, "IntroA", nil, 0.7575212219461522},
+		{0.5, "IntroA", nil, 0.7575212219461523},
 		{0.5, "IntroB", []string{"jython"}, 1},
-		{1, "IntroA", nil, 0.7575212219461522},
+		{1, "IntroA", nil, 0.7575212219461523},
 		{1, "IntroB", []string{"jython"}, 1},
-		{2, "IntroA", nil, 0.7575212219461522},
+		{2, "IntroA", nil, 0.7575212219461523},
 		{2, "IntroB", []string{"jython"}, 1},
 	},
 	"2callH": {
@@ -49,7 +46,7 @@ func TestAblationRobustness(t *testing.T) {
 		for i, r := range rows {
 			w := want[i]
 			if r.Scale != w.Scale || r.Heuristic != w.Heuristic || fmt.Sprint(r.Timeouts) != fmt.Sprint(w.Timeouts) ||
-				math.Abs(r.Retention-w.Retention) > 1e-12 {
+				r.Retention != w.Retention {
 				t.Errorf("%s row %d: %+v, want %+v", deep, i, r, w)
 			}
 		}

@@ -279,9 +279,11 @@ func FigNumber(deep string) int {
 // variants count under "A" and "B", a cut-shortcut row under "cs".
 func Summary(rows []report.Row) map[string]float64 {
 	byBench := map[string]map[string]report.Row{}
+	var benches []string // in row order, so the float sums below are repeatable
 	for _, r := range rows {
 		if byBench[r.Benchmark] == nil {
 			byBench[r.Benchmark] = map[string]report.Row{}
+			benches = append(benches, r.Benchmark)
 		}
 		key := r.Analysis
 		switch {
@@ -296,7 +298,8 @@ func Summary(rows []report.Row) map[string]float64 {
 	}
 	sums := map[string]float64{}
 	counts := map[string]float64{}
-	for _, m := range byBench {
+	for _, b := range benches {
+		m := byBench[b]
 		ins, full := m["insens"], m["full"]
 		if full.TimedOut || ins.Analysis == "" || full.Analysis == "" {
 			continue
