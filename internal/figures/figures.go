@@ -145,19 +145,20 @@ func fleet(cfg Config, subjects []string, jobs []analysis.Job) ([]report.Row, er
 			return nil, err
 		}
 	}
-	// The runs without a pre-pass (the full deep analysis, cs) are
-	// dispatched before the introspective ones: they are the longest,
-	// and one dispatched last, often a capped run, would end the fleet
-	// running alone while the other workers sit idle. Each group goes
-	// job by job, so one subject's variants, which tend to cost alike
-	// (the ablation's jython IntroB runs out of budget at every scale),
+	// Runs without a pre-pass (the full deep analysis, cs) go first:
+	// they are the longest, and one dispatched last, often a capped
+	// run, would end the fleet alone while the other workers sit idle.
+	// Within each group jobs go last to first, each over every subject:
+	// figures list jobs from less to more context-sensitive, so likely
+	// longer runs start first, and one subject's variants, which tend
+	// to cost alike (the ablation's jython IntroB caps at every scale),
 	// are not solved side by side.
 	var reqs []analysis.Request
 	var at []int
 	for _, pre := range []bool{false, true} {
-		for j, job := range jobs {
+		for j := len(jobs) - 1; j >= 0; j-- {
 			for i, b := range subjects {
-				k, first := i*len(jobs)+j, firsts[i]
+				k, job, first := i*len(jobs)+j, jobs[j], firsts[i]
 				if job.NeedsPrePass() != pre {
 					continue
 				}
