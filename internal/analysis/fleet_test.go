@@ -13,8 +13,8 @@ import (
 	"introspect/internal/suite"
 )
 
-// runAll collects a fleet's outcomes in request order.
-func runAll(ctx context.Context, reqs []analysis.Request, workers int) []analysis.RunResult {
+// collect gathers a fleet's outcomes in request order.
+func collect(ctx context.Context, reqs []analysis.Request, workers int) []analysis.RunResult {
 	out := make([]analysis.RunResult, len(reqs))
 	analysis.RunAll(ctx, reqs, workers, func(i int, rr analysis.RunResult) { out[i] = rr })
 	return out
@@ -45,7 +45,7 @@ func TestRunAllMatchesSequential(t *testing.T) {
 		want[i] = res
 	}
 
-	got := runAll(context.Background(), reqs, 4)
+	got := collect(context.Background(), reqs, 4)
 	if len(got) != len(reqs) {
 		t.Fatalf("got %d results, want %d", len(got), len(reqs))
 	}
@@ -105,7 +105,7 @@ func TestRunAllCancellation(t *testing.T) {
 	}
 
 	start := time.Now()
-	got := runAll(ctx, reqs, 2)
+	got := collect(ctx, reqs, 2)
 	elapsed := time.Since(start)
 
 	if !fired.Load() {
@@ -129,7 +129,7 @@ func TestRunAllEdgeCases(t *testing.T) {
 	})
 	prog := randprog.Generate(1, randprog.Default())
 	for _, workers := range []int{-1, 0, 1, 16} {
-		got := runAll(context.Background(), []analysis.Request{
+		got := collect(context.Background(), []analysis.Request{
 			{Prog: prog, Job: analysis.Job{Spec: "insens"}, Limits: analysis.Limits{Budget: -1}},
 		}, workers)
 		if len(got) != 1 || got[0].Err != nil || got[0].Result.Main == nil {

@@ -158,7 +158,7 @@ func TestObserverConcurrentUnderRunAll(t *testing.T) {
 		reqs[i].Observer = shared
 	}
 
-	for i, rr := range runAll(context.Background(), reqs, 4) {
+	for i, rr := range collect(context.Background(), reqs, 4) {
 		if rr.Err != nil {
 			t.Fatalf("request %d: %v", i, rr.Err)
 		}
