@@ -16,7 +16,6 @@
 //
 //	POST /v1/analyze   analyze source (JSON request or raw body + query params)
 //	GET  /v1/analyze   same, streaming NDJSON progress events by default
-//	POST /v1/batch     many jobs over one program, frontend + pre-pass shared
 //	GET  /v1/specs     list analyses, capability flags, and variants
 //	GET  /v1/flights   in-flight requests with live solver snapshots
 //	GET  /healthz      liveness

@@ -13,7 +13,6 @@ import (
 //
 //	POST /v1/analyze   run (or serve from cache) one analysis
 //	GET  /v1/analyze   same, streaming by default (?source=... carries the program)
-//	POST /v1/batch     run many jobs over one program
 //	GET  /v1/specs     list analyses, capability flags, and variants
 //	GET  /v1/flights   in-flight requests with live solver snapshots
 //	GET  /healthz      liveness
@@ -43,7 +42,6 @@ func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
 	mux.HandleFunc("GET /v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	mux.HandleFunc("GET /v1/specs", func(w http.ResponseWriter, r *http.Request) {
 		writeBody(w, http.StatusOK, SpecList())
 	})
@@ -111,21 +109,6 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		// resp is this request's private shallow copy (finish), so
 		// attaching the trace never mutates the shared cached document.
 		resp.Trace = rt.doc(resp.Cache)
-	}
-	writeBody(w, http.StatusOK, resp)
-}
-
-func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if serr := ptav1.DecodeJSON(r.Body, s.maxBody(), &req, "batch"); serr != nil {
-		s.metrics.add(&s.metrics.doc.Rejected.Invalid)
-		writeError(w, serr)
-		return
-	}
-	resp, serr := s.Batch(r.Context(), req)
-	if serr != nil {
-		writeError(w, serr)
-		return
 	}
 	writeBody(w, http.StatusOK, resp)
 }

@@ -75,8 +75,6 @@ type MetricsSnapshot struct {
 	} `json:"disk"`
 	Solves        uint64 `json:"solves"`          // completed solver runs
 	PrePassShared uint64 `json:"pre_pass_shared"` // introspective runs that reused a cached insensitive pass
-	Batches       uint64 `json:"batches"`
-	BatchJobs     uint64 `json:"batch_jobs"`
 	Streams       uint64 `json:"streams"`
 	Rejected      struct {
 		Invalid  uint64 `json:"invalid"`  // 400
@@ -255,8 +253,6 @@ func writePrometheus(w io.Writer, s MetricsSnapshot, build obs.Labels) error {
 		{"ptad_disk_hits_total", "Cache hits served from the durable result store.", one(s.Disk.Hits)},
 		{"ptad_disk_writes_total", "Results spilled to the durable result store.", one(s.Disk.Writes)},
 		{"ptad_disk_corrupt_total", "Durable store files rejected by verify-on-read.", one(s.Disk.Corrupt)},
-		{"ptad_batches_total", "Batch requests received.", one(s.Batches)},
-		{"ptad_batch_jobs_total", "Jobs submitted through batch requests.", one(s.BatchJobs)},
 		{"ptad_streams_total", "Streaming analyze responses served.", one(s.Streams)},
 		{"ptad_in_flight", "Solves currently holding a worker slot.", one(s.Queue.InFlight)},
 		{"ptad_queued", "Admitted requests waiting for a worker slot.", one(s.Queue.Depth)},

@@ -28,8 +28,6 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	d.Timeouts = 1
 	d.Disk.Hits = 1
 	d.Disk.Writes = 3
-	d.Batches = 1
-	d.BatchJobs = 9
 	d.Streams = 2
 	d.Queue.InFlight = 1
 	d.Queue.Depth = 2
@@ -97,8 +95,6 @@ func TestMetricsDistinctValues(t *testing.T) {
 	d.Disk.Hits = 21
 	d.Disk.Writes = 22
 	d.Disk.Corrupt = 23
-	d.Batches = 24
-	d.BatchJobs = 25
 	d.Streams = 26
 	d.Queue.InFlight = 27
 	d.Queue.Depth = 28
@@ -152,8 +148,6 @@ const distinctJSON = `{
   },
   "solves": 15,
   "pre_pass_shared": 16,
-  "batches": 24,
-  "batch_jobs": 25,
   "streams": 26,
   "rejected": {
     "invalid": 17,
@@ -244,8 +238,6 @@ ptad_internal_errors_total 20
 ptad_disk_hits_total 21
 ptad_disk_writes_total 22
 ptad_disk_corrupt_total 23
-ptad_batches_total 24
-ptad_batch_jobs_total 25
 ptad_streams_total 26
 ptad_in_flight 27
 ptad_queued 28
@@ -296,12 +288,6 @@ ptad_disk_writes_total 3
 # HELP ptad_disk_corrupt_total Durable store files rejected by verify-on-read.
 # TYPE ptad_disk_corrupt_total counter
 ptad_disk_corrupt_total 0
-# HELP ptad_batches_total Batch requests received.
-# TYPE ptad_batches_total counter
-ptad_batches_total 1
-# HELP ptad_batch_jobs_total Jobs submitted through batch requests.
-# TYPE ptad_batch_jobs_total counter
-ptad_batch_jobs_total 9
 # HELP ptad_streams_total Streaming analyze responses served.
 # TYPE ptad_streams_total counter
 ptad_streams_total 2

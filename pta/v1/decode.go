@@ -21,7 +21,7 @@ const DefaultSpec = "2objH"
 //
 //   - POST with Content-Type application/json: the body is one
 //     AnalyzeRequest document (unknown fields and trailing data
-//     rejected; see DecodeJSON). The job travels in the body; query
+//     rejected). The job travels in the body; query
 //     parameters are ignored except "stream", "decisions", and
 //     "trace", which select response representations and work on
 //     every encoding.
@@ -53,7 +53,7 @@ func DecodeAnalyze(r *http.Request, maxBody int64) (AnalyzeRequest, *Error) {
 			return req, serr
 		}
 	case contentType(r) == "application/json":
-		if serr := DecodeJSON(r.Body, maxBody, &req, "request"); serr != nil {
+		if serr := decodeJSON(r.Body, maxBody, &req); serr != nil {
 			return req, serr
 		}
 		// stream/decisions/trace are the query parameters honored
@@ -79,20 +79,19 @@ func DecodeAnalyze(r *http.Request, maxBody int64) (AnalyzeRequest, *Error) {
 	return req, nil
 }
 
-// DecodeJSON decodes a request body that must hold exactly one JSON
+// decodeJSON decodes a request body that must hold exactly one JSON
 // document into v, reading at most maxBody bytes. Unknown fields and
 // anything after the document other than whitespace — a second
 // document, trailing garbage — are rejected, so a body is never half
-// read. what names the document in the error message. The returned
-// error, when non-nil, is CodeBadRequest.
-func DecodeJSON(body io.Reader, maxBody int64, v any, what string) *Error {
+// read. The returned error, when non-nil, is CodeBadRequest.
+func decodeJSON(body io.Reader, maxBody int64, v any) *Error {
 	dec := json.NewDecoder(io.LimitReader(body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return Errorf(CodeBadRequest, "decoding %s: %v", what, err)
+		return Errorf(CodeBadRequest, "decoding request: %v", err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		return Errorf(CodeBadRequest, "decoding %s: data after the JSON document", what)
+		return Errorf(CodeBadRequest, "decoding request: data after the JSON document")
 	}
 	return nil
 }

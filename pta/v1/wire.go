@@ -1,15 +1,15 @@
 // Package ptav1 is the versioned wire surface of the analysis tooling:
 // every JSON document that crosses a process boundary — cmd/pta -json,
 // cmd/ptalint -format json, and each endpoint of cmd/ptad's HTTP API
-// (analyze, batch, stream events, specs, flights) — is defined or
-// aliased here, under one schema tag. Clients import this package and
-// nothing else; the internal packages stay free to refactor behind it.
+// (analyze, stream events, specs, flights) — is defined or aliased
+// here, under one schema tag. Clients import this package and nothing
+// else; the internal packages stay free to refactor behind it.
 //
 // The run record itself (RunJSON) lives in internal/analysis, where
 // the pipeline produces it; this package re-exports it so the one
 // authoritative shape has a public name. Types that exist only on the
-// wire — the error envelope, the batch and stream shapes, the specs
-// and flights documents — are defined here and nowhere else.
+// wire — the error envelope, the stream events, the specs and flights
+// documents — are defined here and nowhere else.
 //
 // # Error envelope
 //
@@ -171,42 +171,6 @@ type AnalyzeRequest struct {
 	// describes THIS request (a cache hit traces the lookup, not the
 	// original solve).
 	Trace bool `json:"trace,omitempty"`
-}
-
-// BatchRequest is POST /v1/batch's body: one program, many jobs. The
-// service runs the frontend once, shares the insensitive pre-pass
-// across the jobs that need one, and fans the jobs through its worker
-// pool; per-job failures are per-item, not per-batch.
-type BatchRequest struct {
-	Lang   string `json:"lang,omitempty"`
-	Name   string `json:"name,omitempty"`
-	Source string `json:"source"`
-	// Jobs are analyzed in order of appearance; Results matches the
-	// order. At most MaxBatchJobs per request.
-	Jobs []Job `json:"jobs"`
-	// Budget, DeadlineMS, and Provenance apply to every job in the
-	// batch, with the same semantics as AnalyzeRequest's fields.
-	Budget     int64 `json:"budget,omitempty"`
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	Provenance bool  `json:"provenance,omitempty"`
-}
-
-// BatchItem is one job's outcome within a BatchResponse: either Result
-// is set, or Code and Error are.
-type BatchItem struct {
-	Spec   string   `json:"spec"`
-	Result *RunJSON `json:"result,omitempty"`
-	Code   Code     `json:"code,omitempty"`
-	Error  string   `json:"error,omitempty"`
-}
-
-// BatchResponse is POST /v1/batch's body: per-job outcomes in request
-// order.
-type BatchResponse struct {
-	Schema  string      `json:"schema"`
-	Program string      `json:"program"`
-	Jobs    int         `json:"jobs"`
-	Results []BatchItem `json:"results"`
 }
 
 // Stream event kinds, in the order a stream can emit them: any number

@@ -115,18 +115,6 @@ wait_url() {
     echo "$_url"
 }
 
-# Batch smoke: one program, several jobs, one POST. The envelope names
-# the job count and carries a per-job result array.
-BATCH=$(curl -sS -H 'Content-Type: application/json' -d '{
-    "name": "batchsmoke",
-    "source": "class Main { static void main() { Main m; m = new Main(); } }",
-    "jobs": [{"spec": "insens"}, {"spec": "2objH"}]
-}' "$URL/v1/batch")
-echo "$BATCH" | grep -q '"schema":"pta/v1"'
-echo "$BATCH" | grep -q '"jobs":2'
-echo "$BATCH" | grep -qF '"spec":"insens"'
-echo "$BATCH" | grep -qF '"spec":"2objH"'
-
 # Streaming smoke: a benchmark-sized program with stream=1 comes back
 # as NDJSON — stage events first, one terminal result event last. (The
 # stronger ≥1-snapshot-before-terminal property is pinned by
