@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"sync"
 
-	"introspect/internal/analysis"
 	"introspect/internal/ir"
 	"introspect/internal/pta"
 )
@@ -121,54 +120,67 @@ func (c *progCache) load(key string, fn func() (*ir.Program, error)) *progEntry 
 	return e
 }
 
-// lruCache is a small mutex-guarded LRU for *analysis.RunJSON results.
-type lruCache struct {
+// lru is a mutex-guarded least-recently-used map holding at most cap
+// entries: the memory result cache, and the index of the disk store.
+type lru[V any] struct {
 	mu    sync.Mutex
 	cap   int
-	order *list.List               // front = most recent; values are *lruItem
+	order *list.List               // front = most recent; values are *lruItem[V]
 	items map[string]*list.Element // key → element
 }
 
-type lruItem struct {
+type lruItem[V any] struct {
 	key string
-	val *analysis.RunJSON
+	val V
 }
 
-func newLRU(capacity int) *lruCache {
-	return &lruCache{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
+func newLRU[V any](capacity int) *lru[V] {
+	return &lru[V]{cap: capacity, order: list.New(), items: make(map[string]*list.Element)}
 }
 
-func (c *lruCache) get(key string) (*analysis.RunJSON, bool) {
+// get returns key's value and makes it the most recent entry.
+func (c *lru[V]) get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*lruItem).val, true
+	return el.Value.(*lruItem[V]).val, true
 }
 
-func (c *lruCache) put(key string, val *analysis.RunJSON) {
-	if c.cap <= 0 {
-		return
-	}
+// put stores val as key's value and makes it the most recent entry,
+// returning the keys it evicted to stay within capacity.
+func (c *lru[V]) put(key string, val V) []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*lruItem).val = val
+		el.Value.(*lruItem[V]).val = val
 		c.order.MoveToFront(el)
-		return
+	} else {
+		c.items[key] = c.order.PushFront(&lruItem[V]{key: key, val: val})
 	}
-	c.items[key] = c.order.PushFront(&lruItem{key: key, val: val})
+	var evicted []string
 	for c.order.Len() > c.cap {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.items, last.Value.(*lruItem).key)
+		last := c.order.Remove(c.order.Back()).(*lruItem[V])
+		delete(c.items, last.key)
+		evicted = append(evicted, last.key)
+	}
+	return evicted
+}
+
+func (c *lru[V]) remove(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.order.Remove(el)
+		delete(c.items, key)
 	}
 }
 
-func (c *lruCache) len() int {
+func (c *lru[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()

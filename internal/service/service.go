@@ -161,7 +161,7 @@ type Service struct {
 	metrics *Metrics
 
 	progs   *progCache
-	results *lruCache
+	results *lru[*analysis.RunJSON]
 	store   *diskStore // durable tier, nil without Config.CacheDir
 
 	mu      sync.Mutex
@@ -192,7 +192,7 @@ func New(cfg Config) (*Service, error) {
 		cfg:     cfg,
 		metrics: newMetrics(),
 		progs:   newProgCache(),
-		results: newLRU(cfg.CacheEntries),
+		results: newLRU[*analysis.RunJSON](cfg.CacheEntries),
 		flights: make(map[string]*flight),
 		slots:   make(chan struct{}, cfg.Workers),
 	}

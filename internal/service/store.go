@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -10,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"introspect/internal/analysis"
@@ -51,12 +49,8 @@ type storeFile struct {
 // stay valid forever (the key covers everything that could change
 // them).
 type diskStore struct {
-	dir string
-	cap int
-
-	mu    sync.Mutex
-	order *list.List               // front = most recent; values are string keys
-	index map[string]*list.Element // key → element
+	dir   string
+	index *lru[struct{}]
 }
 
 // openDiskStore creates/opens the store rooted at dir and rebuilds the
@@ -67,7 +61,7 @@ func openDiskStore(dir string, capacity int) (*diskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache dir: %w", err)
 	}
-	s := &diskStore{dir: dir, cap: capacity, order: list.New(), index: make(map[string]*list.Element)}
+	s := &diskStore{dir: dir, index: newLRU[struct{}](capacity)}
 
 	type onDisk struct {
 		key   string
@@ -98,8 +92,8 @@ func openDiskStore(dir string, capacity int) (*diskStore, error) {
 			found = append(found, onDisk{key: key, mtime: info.ModTime()})
 		}
 	}
-	// Oldest first, so pushing each to the front leaves the newest at
-	// the front of the LRU order. Ties break on the key for
+	// Oldest first, so each put makes the newer entry the most recent
+	// and capacity evicts the oldest. Ties break on the key for
 	// determinism.
 	sort.Slice(found, func(i, j int) bool {
 		if !found[i].mtime.Equal(found[j].mtime) {
@@ -108,13 +102,7 @@ func openDiskStore(dir string, capacity int) (*diskStore, error) {
 		return found[i].key < found[j].key
 	})
 	for _, f := range found {
-		s.index[f.key] = s.order.PushFront(f.key)
-	}
-	// Unlink what the rebuild evicted: get reads files by path without
-	// consulting the index, so a file left behind here would keep
-	// serving hits past the configured capacity forever.
-	for _, k := range s.evictLocked() {
-		os.Remove(s.path(k))
+		s.unlink(s.index.put(f.key, struct{}{}))
 	}
 	return s, nil
 }
@@ -157,17 +145,12 @@ func (s *diskStore) get(key string) (doc *analysis.RunJSON, corrupt bool) {
 		f.Sum == docSum(f.Doc) {
 		var r analysis.RunJSON
 		if err := json.Unmarshal(f.Doc, &r); err == nil {
-			s.touch(key, path)
+			s.touch(key)
 			return &r, false
 		}
 	}
 	os.Remove(path)
-	s.mu.Lock()
-	if el, ok := s.index[key]; ok {
-		s.order.Remove(el)
-		delete(s.index, key)
-	}
-	s.mu.Unlock()
+	s.index.remove(key)
 	return nil, true
 }
 
@@ -176,9 +159,6 @@ func (s *diskStore) get(key string) (doc *analysis.RunJSON, corrupt bool) {
 // renamed into place — readers (and crashes) see the old state or the
 // new, never a torn write.
 func (s *diskStore) put(key string, doc *analysis.RunJSON) error {
-	if s == nil || s.cap <= 0 {
-		return nil
-	}
 	db, err := json.Marshal(doc)
 	if err != nil {
 		return err
@@ -208,33 +188,18 @@ func (s *diskStore) put(key string, doc *analysis.RunJSON) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-
-	s.mu.Lock()
-	if el, ok := s.index[key]; ok {
-		s.order.MoveToFront(el)
-	} else {
-		s.index[key] = s.order.PushFront(key)
-	}
-	evicted := s.evictLocked()
-	s.mu.Unlock()
-	for _, k := range evicted {
-		os.Remove(s.path(k))
-	}
+	s.unlink(s.index.put(key, struct{}{}))
 	return nil
 }
 
 // touch records a hit: front of the LRU order, and a best-effort mtime
-// bump so recency survives a restart's index rebuild.
-func (s *diskStore) touch(key, path string) {
-	s.mu.Lock()
-	if el, ok := s.index[key]; ok {
-		s.order.MoveToFront(el)
-	} else {
-		s.index[key] = s.order.PushFront(key)
-	}
-	s.mu.Unlock()
+// bump so recency survives a restart's index rebuild. A hit on a file
+// another daemon wrote into a shared directory joins the index here,
+// within capacity like any put.
+func (s *diskStore) touch(key string) {
+	s.unlink(s.index.put(key, struct{}{}))
 	now := time.Now()
-	os.Chtimes(path, now, now)
+	os.Chtimes(s.path(key), now, now)
 }
 
 // touchKey is touch for callers that hit the entry without reading its
@@ -246,26 +211,18 @@ func (s *diskStore) touchKey(key string) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	_, ok := s.index[key]
-	s.mu.Unlock()
-	if ok {
-		s.touch(key, s.path(key))
+	if _, ok := s.index.get(key); ok {
+		s.touch(key)
 	}
 }
 
-// evictLocked trims the index to capacity, returning the evicted keys
-// for the caller to unlink outside the lock.
-func (s *diskStore) evictLocked() []string {
-	var evicted []string
-	for s.order.Len() > s.cap {
-		last := s.order.Back()
-		key := last.Value.(string)
-		s.order.Remove(last)
-		delete(s.index, key)
-		evicted = append(evicted, key)
+// unlink deletes the files of evicted keys: get reads files by path
+// without consulting the index, so a file left behind would keep
+// serving hits past the configured capacity.
+func (s *diskStore) unlink(evicted []string) {
+	for _, k := range evicted {
+		os.Remove(s.path(k))
 	}
-	return evicted
 }
 
 // len reports the indexed entry count.
@@ -273,9 +230,7 @@ func (s *diskStore) len() int {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.order.Len()
+	return s.index.len()
 }
 
 func docSum(doc []byte) string {

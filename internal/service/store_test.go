@@ -272,3 +272,25 @@ func TestDiskStoreIgnoresStrayFiles(t *testing.T) {
 		t.Errorf("files = %d, want 2 entries + %d strays: %v", len(files), len(strays), files)
 	}
 }
+
+// TestDiskStoreSharedDirKeepsCap: a hit on a file another daemon wrote
+// into a shared cache directory joins this store's index within its
+// cap, evicting the least recently used entry, rather than growing the
+// index past DiskEntries.
+func TestDiskStoreSharedDirKeepsCap(t *testing.T) {
+	dir := t.TempDir()
+	src := holderMJ(t)
+	req := func(spec string) service.Request {
+		return service.Request{Name: "holder", Source: src, Job: analysis.Job{Spec: spec}}
+	}
+	a := service.MustNew(service.Config{Workers: 1, CacheDir: dir, DiskEntries: 1})
+	b := service.MustNew(service.Config{Workers: 1, CacheDir: dir, DiskEntries: 1})
+	analyzeOne(t, a, req("insens"))
+	analyzeOne(t, b, req("cs"))
+	if doc := analyzeOne(t, a, req("cs")); doc.Cache != "hit" {
+		t.Errorf("a asking for b's entry: cache = %q, want hit", doc.Cache)
+	}
+	if m := a.Metrics(); m.Disk.Hits != 1 || m.Disk.Entries != 1 {
+		t.Errorf("a: disk hits = %d, disk entries = %d with cap 1, want 1 and 1", m.Disk.Hits, m.Disk.Entries)
+	}
+}
