@@ -10,17 +10,23 @@ import (
 	ptav1 "introspect/pta/v1"
 )
 
-// flightMeta is the live-progress record of one admitted solve: what
-// GET /v1/flights reports. The immutable identity fields are set at
-// registration; stage and snapshot are updated from the solve's
-// observer callbacks under the record's own mutex, so a heartbeat
-// write never contends with the service lock.
-type flightMeta struct {
+// flight is one admitted solve: its single-flight outcome and its
+// live-progress record, which GET /v1/flights reports. The first
+// request for a key becomes the owner, creates the flight and solves;
+// identical concurrent requests wait on done and share the outcome.
+// The identity fields are set at creation; stage and snapshot are
+// updated from the solve's observer callbacks under the flight's own
+// mutex, so a heartbeat write never contends with the service lock.
+type flight struct {
 	id         uint64
 	program    string
 	spec       string
 	provenance bool
 	started    time.Time
+
+	done chan struct{}
+	resp *analysis.RunJSON
+	err  *Error
 
 	mu     sync.Mutex
 	stage  string
@@ -28,13 +34,13 @@ type flightMeta struct {
 	snapAt time.Time // zero until the first snapshot arrives
 }
 
-func (f *flightMeta) setStage(stage string) {
+func (f *flight) setStage(stage string) {
 	f.mu.Lock()
 	f.stage = stage
 	f.mu.Unlock()
 }
 
-func (f *flightMeta) setSnapshot(snap pta.Snapshot) {
+func (f *flight) setSnapshot(snap pta.Snapshot) {
 	f.mu.Lock()
 	f.snap = snap
 	f.snapAt = time.Now()
@@ -42,38 +48,11 @@ func (f *flightMeta) setSnapshot(snap pta.Snapshot) {
 }
 
 // observer feeds the flight record from the pipeline's callbacks.
-func (f *flightMeta) observer() analysis.Observer {
+func (f *flight) observer() analysis.Observer {
 	return analysis.ObserverFuncs{
 		OnStageStart:    f.setStage,
 		OnSolveSnapshot: func(_ string, snap pta.Snapshot) { f.setSnapshot(snap) },
 	}
-}
-
-// registerFlight adds a record for one admitted solve; the caller must
-// deregister it (deferred) when the solve returns.
-func (s *Service) registerFlight(req Request) *flightMeta {
-	fl := &flightMeta{
-		program:    req.Name,
-		spec:       req.Job.Spec,
-		provenance: req.Provenance,
-		started:    time.Now(),
-		stage:      "queued",
-	}
-	s.mu.Lock()
-	s.flightSeq++
-	fl.id = s.flightSeq
-	if s.active == nil {
-		s.active = make(map[uint64]*flightMeta)
-	}
-	s.active[fl.id] = fl
-	s.mu.Unlock()
-	return fl
-}
-
-func (s *Service) deregisterFlight(fl *flightMeta) {
-	s.mu.Lock()
-	delete(s.active, fl.id)
-	s.mu.Unlock()
 }
 
 // FlightInfo is one in-flight request as reported by GET /v1/flights.
@@ -85,31 +64,31 @@ type FlightInfo = ptav1.FlightInfo
 // and lock-light: callers may poll it at heartbeat frequency.
 func (s *Service) Flights() []FlightInfo {
 	s.mu.Lock()
-	metas := make([]*flightMeta, 0, len(s.active))
-	for _, fl := range s.active {
-		metas = append(metas, fl)
+	fls := make([]*flight, 0, len(s.flights))
+	for _, f := range s.flights {
+		fls = append(fls, f)
 	}
 	s.mu.Unlock()
-	sort.Slice(metas, func(i, j int) bool { return metas[i].id < metas[j].id })
+	sort.Slice(fls, func(i, j int) bool { return fls[i].id < fls[j].id })
 
 	now := time.Now()
-	out := make([]FlightInfo, len(metas))
-	for i, fl := range metas {
-		fl.mu.Lock()
+	out := make([]FlightInfo, len(fls))
+	for i, f := range fls {
+		f.mu.Lock()
 		info := FlightInfo{
-			ID:         fl.id,
-			Program:    fl.program,
-			Spec:       fl.spec,
-			Provenance: fl.provenance,
-			AgeMS:      now.Sub(fl.started).Milliseconds(),
-			Stage:      fl.stage,
+			ID:         f.id,
+			Program:    f.program,
+			Spec:       f.spec,
+			Provenance: f.provenance,
+			AgeMS:      now.Sub(f.started).Milliseconds(),
+			Stage:      f.stage,
 		}
-		if !fl.snapAt.IsZero() {
-			snap := fl.snap
+		if !f.snapAt.IsZero() {
+			snap := f.snap
 			info.Snapshot = &snap
-			info.SnapshotAgeMS = now.Sub(fl.snapAt).Milliseconds()
+			info.SnapshotAgeMS = now.Sub(f.snapAt).Milliseconds()
 		}
-		fl.mu.Unlock()
+		f.mu.Unlock()
 		out[i] = info
 	}
 	return out

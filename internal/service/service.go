@@ -164,23 +164,11 @@ type Service struct {
 	results *lru[*analysis.RunJSON]
 	store   *diskStore // durable tier, nil without Config.CacheDir
 
-	mu      sync.Mutex
-	flights map[string]*flight
-	pending int           // admitted requests not yet finished
-	slots   chan struct{} // worker pool: buffered to cfg.Workers
-
-	// Live-progress registry behind GET /v1/flights (see flights.go).
-	flightSeq uint64
-	active    map[uint64]*flightMeta
-}
-
-// flight is one in-progress computation under single-flight: the first
-// request for a key becomes the owner and solves; identical concurrent
-// requests wait on done and share the outcome.
-type flight struct {
-	done chan struct{}
-	resp *analysis.RunJSON
-	err  *Error
+	mu        sync.Mutex
+	flights   map[string]*flight // by result key; see flights.go
+	flightSeq uint64             // the last flight's id
+	pending   int                // admitted requests not yet finished
+	slots     chan struct{}      // worker pool: buffered to cfg.Workers
 }
 
 // New builds a Service. The returned service has no background
@@ -344,7 +332,11 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 					s.cfg.Workers+s.cfg.QueueDepth, s.cfg.Workers, s.cfg.QueueDepth)
 			}
 			s.pending++
-			f = &flight{done: make(chan struct{})}
+			s.flightSeq++
+			f = &flight{
+				id: s.flightSeq, program: req.Name, spec: req.Job.Spec, provenance: req.Provenance,
+				started: time.Now(), stage: "queued", done: make(chan struct{}),
+			}
 			s.flights[key] = f
 			owner = true
 		}
@@ -364,7 +356,7 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 			s.metrics.mu.Unlock()
 			go func() {
 				defer cancel()
-				f.resp, f.err = s.solve(solveCtx, req, pk, key, extra)
+				f.resp, f.err = s.solve(solveCtx, f, req, pk, key, extra)
 				s.mu.Lock()
 				delete(s.flights, key)
 				s.pending--
@@ -403,12 +395,10 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 }
 
 // solve acquires a worker slot, loads the (cached) program, runs the
-// pipeline, and stores a cacheable outcome. extra, when non-nil, is
-// composed into the solve's observer chain (streaming).
-func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra analysis.Observer) (*analysis.RunJSON, *Error) {
-	fl := s.registerFlight(req)
-	defer s.deregisterFlight(fl)
-
+// pipeline, and stores a cacheable outcome, reporting its progress on
+// fl. extra, when non-nil, is composed into the solve's observer chain
+// (streaming).
+func (s *Service) solve(ctx context.Context, fl *flight, req Request, pk, key string, extra analysis.Observer) (*analysis.RunJSON, *Error) {
 	enqueued := time.Now()
 	select {
 	case s.slots <- struct{}{}:
