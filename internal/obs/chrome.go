@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"time"
 )
 
@@ -58,15 +59,12 @@ func (t *Tracer) ChromeEvents(process string) []ChromeEvent {
 			TID:   r.TID,
 			Args:  r.Args,
 		}
-		// Correlation IDs surface only in traces that carry a trace ID,
-		// keeping CLI and /debug/trace exports byte-stable.
-		if traceID != "" && r.SpanID != 0 {
-			args := make(map[string]any, len(r.Args)+2)
-			for k, v := range r.Args {
-				args[k] = v
-			}
+		// The trace ID surfaces only in traces that carry one, keeping
+		// CLI and /debug/trace exports byte-stable.
+		if traceID != "" && r.Phase == PhaseSpan {
+			args := make(map[string]any, len(r.Args)+1)
+			maps.Copy(args, r.Args)
 			args["trace_id"] = traceID
-			args["span_id"] = r.SpanID
 			ev.Args = args
 		}
 		switch r.Phase {

@@ -91,9 +91,9 @@ func TestParseChromeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestChromeIDsGatedOnTraceID: correlation args (trace_id, span_id)
-// appear in the Chrome export only after SetTraceID — CLI and
-// /debug/trace exports stay byte-stable.
+// TestChromeIDsGatedOnTraceID: the trace_id arg appears in the Chrome
+// export only after SetTraceID — CLI and /debug/trace exports stay
+// byte-stable.
 func TestChromeIDsGatedOnTraceID(t *testing.T) {
 	build := func(traceID string) []ChromeEvent {
 		tr := NewTracer(16)
@@ -109,10 +109,8 @@ func TestChromeIDsGatedOnTraceID(t *testing.T) {
 	}
 
 	for _, ev := range build("") {
-		for _, key := range []string{"trace_id", "span_id"} {
-			if _, ok := ev.Args[key]; ok {
-				t.Errorf("untraced export leaks %s on %q: %v", key, ev.Name, ev.Args)
-			}
+		if _, ok := ev.Args["trace_id"]; ok {
+			t.Errorf("untraced export leaks trace_id on %q: %v", ev.Name, ev.Args)
 		}
 	}
 
@@ -126,9 +124,6 @@ func TestChromeIDsGatedOnTraceID(t *testing.T) {
 	solve := byName["solve"]
 	if solve.Args["trace_id"] != "trace-42" {
 		t.Errorf("solve trace_id = %v", solve.Args["trace_id"])
-	}
-	if id, ok := solve.Args["span_id"].(uint64); !ok || id == 0 {
-		t.Errorf("solve span_id = %v (%T)", solve.Args["span_id"], solve.Args["span_id"])
 	}
 	// Stamping must not mutate the caller-retained args map.
 	if solve.Args["spec"] != "insens" {

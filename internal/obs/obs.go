@@ -58,11 +58,7 @@ type SpanRecord struct {
 	Start time.Duration
 	Dur   time.Duration
 	Args  map[string]any
-	// SpanID is the span's tracer-assigned identity (zero for instants
-	// and metadata). IDs surface in the Chrome export only when the
-	// tracer carries a trace ID (see Tracer.SetTraceID).
-	SpanID uint64
-	seq    uint64 // tiebreak for stable ordering of same-Start records
+	seq   uint64 // tiebreak for stable ordering of same-Start records
 }
 
 // Tracer records spans and events. The zero value is not usable; build
@@ -72,17 +68,16 @@ type SpanRecord struct {
 // All methods are safe for concurrent use; recording takes one short
 // mutex-guarded append.
 type Tracer struct {
-	mu       sync.Mutex
-	epoch    time.Time
-	ring     []SpanRecord // fixed-capacity ring, ring[head] is oldest
-	head     int
-	count    int
-	dropped  uint64
-	seq      uint64
-	nextTID  int64
-	meta     []SpanRecord // track-name metadata, never evicted
-	traceID  string
-	nextSpan uint64
+	mu      sync.Mutex
+	epoch   time.Time
+	ring    []SpanRecord // fixed-capacity ring, ring[head] is oldest
+	head    int
+	count   int
+	dropped uint64
+	seq     uint64
+	nextTID int64
+	meta    []SpanRecord // track-name metadata, never evicted
+	traceID string
 }
 
 // NewTracer builds a tracer whose ring buffer retains the most recent
@@ -118,9 +113,9 @@ func (t *Tracer) record(r SpanRecord) {
 func (t *Tracer) since(at time.Time) time.Duration { return at.Sub(t.epoch) }
 
 // SetTraceID names the trace the tracer's records belong to. When set,
-// the Chrome export stamps every span with trace_id and span_id args
-// (and the process metadata with the trace ID), so one request's spans
-// can be matched to its access-log line. Safe on a nil tracer.
+// the Chrome export stamps every span with a trace_id arg (and the
+// process metadata with the trace ID), so one request's spans can be
+// matched to its access-log line. Safe on a nil tracer.
 func (t *Tracer) SetTraceID(id string) {
 	if t == nil {
 		return
@@ -138,15 +133,6 @@ func (t *Tracer) TraceID() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.traceID
-}
-
-// newSpanID hands out the next span identity.
-func (t *Tracer) newSpanID() uint64 {
-	t.mu.Lock()
-	t.nextSpan++
-	id := t.nextSpan
-	t.mu.Unlock()
-	return id
 }
 
 // NewTrack allocates a new track (a lane in the trace viewer) with the
@@ -228,7 +214,7 @@ func (tr *Track) Begin(name string, args map[string]any) *Span {
 	if tr == nil {
 		return nil
 	}
-	return &Span{tr: tr, name: name, start: time.Now(), args: args, id: tr.t.newSpanID()}
+	return &Span{tr: tr, name: name, start: time.Now(), args: args}
 }
 
 // Instant records an instant event on the track. args may be nil and
@@ -254,7 +240,6 @@ type Span struct {
 	name  string
 	start time.Time
 	args  map[string]any
-	id    uint64
 	ended bool
 }
 
@@ -277,12 +262,11 @@ func (sp *Span) End() {
 	sp.ended = true
 	now := time.Now()
 	sp.tr.t.record(SpanRecord{
-		Name:   sp.name,
-		Phase:  PhaseSpan,
-		TID:    sp.tr.tid,
-		Start:  sp.tr.t.since(sp.start),
-		Dur:    now.Sub(sp.start),
-		Args:   sp.args,
-		SpanID: sp.id,
+		Name:  sp.name,
+		Phase: PhaseSpan,
+		TID:   sp.tr.tid,
+		Start: sp.tr.t.since(sp.start),
+		Dur:   now.Sub(sp.start),
+		Args:  sp.args,
 	})
 }
