@@ -45,6 +45,9 @@ func TaintVariants() []string { return CSVariants() }
 // No pre-pass sharing here (Request.First is incompatible with taint
 // injection — the pre-pass must solve the instrumented program), so
 // the introspective variants each solve their own insensitive pass.
+// Each row is computed as its run ends, so a Result is released then,
+// not when the whole fleet is done: the checkers only read the Result,
+// the ground truth and the merged program the benchmark's runs share.
 func FigTaint(cfg Config) ([]TaintRow, error) {
 	variants := TaintVariants()
 	var reqs []analysis.Request
@@ -69,38 +72,40 @@ func FigTaint(cfg Config) ([]TaintRow, error) {
 			truths = append(truths, gt)
 		}
 	}
-	results := make([]*analysis.Result, len(reqs))
-	if err := run(cfg, reqs, func(i int, res *analysis.Result) { results[i] = res }); err != nil {
+	rows := make([]TaintRow, len(reqs))
+	if err := run(cfg, reqs, func(i int, res *analysis.Result) { rows[i] = taintRow(benches[i], res, truths[i]) }); err != nil {
 		return nil, err
 	}
-	rows := make([]TaintRow, len(reqs))
-	for i, res := range results {
-		row := TaintRow{
-			Benchmark: benches[i],
-			Analysis:  res.Analysis,
-			TimedOut:  !res.Main.Complete,
-			Work:      res.Main.Work,
-		}
-		if !row.TimedOut {
-			gt := truths[i]
-			tg := &checkers.Target{Prog: res.Prog, Res: res.Main, Taint: res.TaintInfo}
-			c := checkers.CountAgainst(tg, gt)
-			row.Reported, row.TruePos, row.FalsePos = c.Reported, c.TruePos, c.FalsePos
-			row.Missed = len(gt.Tainted) - c.TruePos
-			row.SanitizedClean = true
-			sanitized := map[string]bool{}
-			for _, n := range gt.Sanitized {
-				sanitized[n] = true
-			}
-			for _, f := range checkers.SinkFlows(tg) {
-				if sanitized[res.Prog.InvoName(f.Invo)] {
-					row.SanitizedClean = false
-				}
-			}
-		}
-		rows[i] = row
-	}
 	return rows, nil
+}
+
+// taintRow classifies one Figure 9 run against its benchmark's ground
+// truth.
+func taintRow(bench string, res *analysis.Result, gt *taint.GroundTruth) TaintRow {
+	row := TaintRow{
+		Benchmark: bench,
+		Analysis:  res.Analysis,
+		TimedOut:  !res.Main.Complete,
+		Work:      res.Main.Work,
+	}
+	if row.TimedOut {
+		return row
+	}
+	tg := &checkers.Target{Prog: res.Prog, Res: res.Main, Taint: res.TaintInfo}
+	c := checkers.CountAgainst(tg, gt)
+	row.Reported, row.TruePos, row.FalsePos = c.Reported, c.TruePos, c.FalsePos
+	row.Missed = len(gt.Tainted) - c.TruePos
+	row.SanitizedClean = true
+	sanitized := map[string]bool{}
+	for _, n := range gt.Sanitized {
+		sanitized[n] = true
+	}
+	for _, f := range checkers.SinkFlows(tg) {
+		if sanitized[res.Prog.InvoName(f.Invo)] {
+			row.SanitizedClean = false
+		}
+	}
+	return row
 }
 
 // FormatFigTaint renders the Figure 9 table plus its summary trailer.
