@@ -935,7 +935,8 @@ func (s *solver) processUses(n int32, d *bits.Set) {
 // only the solve needs, so a Result held after Solve keeps what its
 // methods read: nodes and their points-to sets, the edge arena
 // (ConstraintStats), the call graph and the interned heap and method
-// contexts.
+// contexts. The kept node slices are trimmed to their length, shedding
+// the headroom growNodes doubled them to.
 func (s *solver) finalize() {
 	// A counting sort by var id, stable in node order.
 	nv := s.prog.NumVars()
@@ -966,6 +967,9 @@ func (s *solver) finalize() {
 	s.wl, s.inWL, s.pendingMC = nil, nil, nil
 	s.deltas, s.freeDelta, s.deltaSlot, s.deltaLen = nil, nil, nil, nil
 	s.uses, s.useSlot, s.succTail = nil, nil, nil
+	n := len(s.kind)
+	s.kind, s.nodeA, s.nodeB = regrow(s.kind, n), regrow(s.nodeA, n), regrow(s.nodeB, n)
+	s.ptSlot, s.ptLen, s.succHead = regrow(s.ptSlot, n), regrow(s.ptLen, n), regrow(s.succHead, n)
 }
 
 // varNodesOf returns var v's nodes in node order.
