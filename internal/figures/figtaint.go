@@ -45,9 +45,11 @@ func TaintVariants() []string { return CSVariants() }
 // No pre-pass sharing here (Request.First is incompatible with taint
 // injection — the pre-pass must solve the instrumented program), so
 // the introspective variants each solve their own insensitive pass.
-// Each row is computed as its run ends, so a Result is released then,
-// not when the whole fleet is done: the checkers only read the Result,
-// the ground truth and the merged program the benchmark's runs share.
+// Each row is computed as its run ends, on the worker that ran it, so
+// a Result is released then rather than when the whole fleet is done.
+// That is safe because the checkers only read the Result (with its own
+// instrumented program) and the ground truth, which the benchmark's
+// runs share and nothing writes.
 func FigTaint(cfg Config) ([]TaintRow, error) {
 	variants := TaintVariants()
 	var reqs []analysis.Request
