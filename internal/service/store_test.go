@@ -294,3 +294,19 @@ func TestDiskStoreSharedDirKeepsCap(t *testing.T) {
 		t.Errorf("a: disk hits = %d, disk entries = %d with cap 1, want 1 and 1", m.Disk.Hits, m.Disk.Entries)
 	}
 }
+
+// TestResultKeyPinned pins the durable key of one fixed request. A
+// store file is named by its SHA-256 result key, so a change in how
+// that key is derived would turn every entry of a directory written by
+// an earlier daemon into a miss.
+func TestResultKeyPinned(t *testing.T) {
+	const src = "program pin\nclass A\nentry static method A.main/0 sig main/0 {\n  var v\n  v = new A @ \"a\"\n}\n"
+	const k = "746cd3060ba7b172fca6e6ebe2d586813d4ee041d45f59c86b925450ddf96f45"
+	dir := t.TempDir()
+	svc := service.MustNew(service.Config{Workers: 1, CacheDir: dir})
+	analyzeOne(t, svc, service.Request{Lang: "ir", Name: "pin", Source: src, Job: analysis.Job{Spec: "insens"}, Budget: -1})
+	want := filepath.Join(dir, k[:2], k+".json")
+	if files := storeFiles(t, dir); len(files) != 1 || files[0] != want {
+		t.Errorf("store files = %v, want [%s]", files, want)
+	}
+}
