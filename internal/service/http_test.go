@@ -86,3 +86,70 @@ func TestWorkersHTTPValidation(t *testing.T) {
 		t.Error("without workers: solve did not complete")
 	}
 }
+
+// TestOneProgramEntryPerSource: the raw-POST, JSON and GET encodings
+// of one program find the same program entry, whichever copy of the
+// source text each request decodes. The raw POST solves, the other two
+// are hits on its key, and a JSON introspective request injects the
+// insensitive result the raw POST solved. The same source under
+// another name, or in another language, is another program.
+func TestOneProgramEntryPerSource(t *testing.T) {
+	svc := service.MustNew(service.Config{Workers: 1})
+	h := svc.Handler()
+	src := holderMJ(t)
+	send := func(r *http.Request) (int, string) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		var doc analysis.RunJSON
+		if rec.Code == http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+				t.Fatalf("not a result document: %v\n%s", err, rec.Body)
+			}
+		}
+		return rec.Code, doc.Cache
+	}
+	raw := func(query string) *http.Request {
+		r := httptest.NewRequest(http.MethodPost, "/v1/analyze?"+query, strings.NewReader(src))
+		r.Header.Set("Content-Type", "text/plain")
+		return r
+	}
+	jsonReq := func(spec string) *http.Request {
+		b, err := json.Marshal(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := `{"name":"holder","source":` + string(b) + `,"job":{"spec":"` + spec + `"}}`
+		r := httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(body))
+		r.Header.Set("Content-Type", "application/json")
+		return r
+	}
+	get := url.Values{"name": {"holder"}, "spec": {"insens"}, "stream": {"0"}, "source": {src}}
+
+	for _, c := range []struct {
+		form   string
+		r      *http.Request
+		code   int
+		cache  string
+		solves uint64
+	}{
+		{"raw POST", raw("name=holder&spec=insens"), http.StatusOK, "miss", 1},
+		{"JSON", jsonReq("insens"), http.StatusOK, "hit", 1},
+		{"GET", httptest.NewRequest(http.MethodGet, "/v1/analyze?"+get.Encode(), nil), http.StatusOK, "hit", 1},
+		{"another name", raw("name=other&spec=insens"), http.StatusOK, "miss", 2},
+		// Mini-Java source is no IR program: a miss that fails to parse.
+		{"another lang", raw("lang=ir&name=holder&spec=insens"), http.StatusBadRequest, "", 2},
+		{"JSON IntroA", jsonReq("2objH-IntroA"), http.StatusOK, "miss", 3},
+	} {
+		code, cache := send(c.r)
+		if code != c.code || cache != c.cache {
+			t.Errorf("%s: status %d cache %q, want %d %q", c.form, code, cache, c.code, c.cache)
+		}
+		if m := svc.Metrics(); m.Solves != c.solves {
+			t.Errorf("%s: solves = %d, want %d", c.form, m.Solves, c.solves)
+		}
+	}
+	if m := svc.Metrics(); m.Cache.Misses != 4 || m.Cache.Hits != 2 || m.PrePassShared != 1 {
+		t.Errorf("misses %d, hits %d, pre_pass_shared %d; want 4, 2 and 1", m.Cache.Misses, m.Cache.Hits, m.PrePassShared)
+	}
+}
