@@ -34,6 +34,10 @@ go test -race ./internal/analysis ./internal/pta ./internal/cutshortcut ./intern
 # benchmark that reaches the node explosion of the TIMEOUT rows. Run
 # once so it keeps compiling and its retained-MiB stays visible in CI.
 go test -run '^$' -bench SolveCapped -benchtime 1x ./internal/pta
+# A jython memory hit through ptad's handler, after warming insens for
+# the nine suite programs: its time and allocations per hit, and the
+# retained-MiB of the warmed service.
+go test -run '^$' -bench AnalyzeHit -benchtime 20x ./internal/service
 
 # Trace-export smoke test (same commands as `make trace-smoke`): solve
 # with tracing on, then validate the Chrome trace file end to end.
@@ -125,6 +129,10 @@ STREAM=$(curl -sS --data-binary @/tmp/ptad-jython.$$.ir \
 echo "$STREAM" | grep -q '"event":"stage"'
 echo "$STREAM" | grep -q '"event":"result"'
 echo "$STREAM" | grep -q '"complete":true'
+# The same program again as a chunked body, which declares no length,
+# must be a hit on the key the streamed request solved.
+curl -sS -H 'Transfer-Encoding: chunked' --data-binary @/tmp/ptad-jython.$$.ir \
+    "$URL/v1/analyze?lang=ir&spec=insens&budget=-1&name=jython&stream=0" | grep -q '"cache":"hit"'
 
 # Durable-store smoke: solve once with -cache-dir, restart on the same
 # directory, and the repeat must be a cache hit with zero solves.
