@@ -48,12 +48,11 @@ func (s *Source) Load() (*ir.Program, error) {
 		}
 		return lang.Compile(s.MJFile, string(src))
 	case s.IRFile != "":
-		f, err := os.Open(s.IRFile)
+		src, err := os.ReadFile(s.IRFile)
 		if err != nil {
 			return nil, err
 		}
-		defer f.Close()
-		return ir.ParseText(f)
+		return ir.ParseString(string(src))
 	default:
 		name := s.Name
 		if name == "" {
