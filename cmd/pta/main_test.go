@@ -129,3 +129,42 @@ func TestRegisteredSpecsRun(t *testing.T) {
 		}
 	}
 }
+
+// TestEmitRoundTrip drives the one program writer: -emit writes the
+// loaded program as textual IR, and analyzing that file with -ir gives
+// the same pta/v1 document, wall times scrubbed, as analyzing the
+// source it came from.
+func TestEmitRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		src  []string
+		spec string
+	}{
+		{[]string{"-mj", demo}, "2objH-IntroA"},
+		{[]string{"-bench", "antlr"}, "2objH-IntroB"},
+	} {
+		irFile := filepath.Join(t.TempDir(), "prog.ir")
+		var out bytes.Buffer
+		if err := run(context.Background(), append(c.src, "-emit", irFile), &out); err != nil {
+			t.Fatalf("%v -emit: %v", c.src, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v -emit wrote to stdout:\n%s", c.src, out.Bytes())
+		}
+		want := runJSON(t, append(c.src, "-analysis", c.spec, "-json"))
+		got := runJSON(t, []string{"-ir", irFile, "-analysis", c.spec, "-json"})
+		if !bytes.Equal(got, want) {
+			t.Errorf("%v: -ir of the emitted IR differs from the source's own run.\n--- -ir ---\n%s\n--- source ---\n%s", c.src, got, want)
+		}
+	}
+}
+
+// runJSON runs the command in-process and returns its output with wall
+// times scrubbed.
+func runJSON(t *testing.T, args []string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := run(context.Background(), args, &buf); err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	return scrubWall(buf.Bytes())
+}

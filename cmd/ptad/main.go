@@ -81,6 +81,12 @@ import (
 	"introspect/internal/service"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that stalls before its body holds no
+// goroutine for longer. A request's body read is bounded per request by
+// the service (the -deadline default), so a large source still has time.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "ptad:", err)
@@ -138,7 +144,7 @@ func run() error {
 	// discover the ephemeral port; keep its shape stable.
 	fmt.Printf("ptad: listening on http://%s\n", ln.Addr())
 
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 2)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -149,7 +155,7 @@ func run() error {
 			return fmt.Errorf("debug listener: %w", err)
 		}
 		fmt.Printf("ptad: debug on http://%s (pprof: /debug/pprof/, trace: /debug/trace)\n", dln.Addr())
-		debugSrv = &http.Server{Handler: debugMux(tracer)}
+		debugSrv = &http.Server{Handler: debugMux(tracer), ReadHeaderTimeout: readHeaderTimeout}
 		go func() { errc <- debugSrv.Serve(dln) }()
 	}
 

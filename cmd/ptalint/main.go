@@ -92,18 +92,9 @@ func run(args []string, out io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	job := analysis.Job{Spec: *spec}
-	if *sources != "" || *sinks != "" || *sanitizers != "" {
-		job.Taint = &taint.Spec{
-			Sources:    splitList(*sources),
-			Sinks:      splitList(*sinks),
-			Sanitizers: splitList(*sanitizers),
-		}
-	}
-
 	res, err := analysis.Run(ctx, analysis.Request{
 		Source:     &analysis.Source{Bench: *bench, MJFile: *mjFile, IRFile: *irFile},
-		Job:        job,
+		Job:        analysis.Job{Spec: *spec, Taint: taint.SpecFromLists(*sources, *sinks, *sanitizers)},
 		Limits:     analysis.Limits{Budget: *budget},
 		Provenance: *provenance,
 	})
@@ -141,18 +132,6 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown format %q (have text, json, sarif)", *format)
 	}
-}
-
-// splitList parses a comma-separated flag value, trimming whitespace
-// and dropping empty elements.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func writeJSON(out io.Writer, res *analysis.Result, diags []checkers.Diagnostic) error {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -63,8 +65,8 @@ func TestUnknownVariant(t *testing.T) {
 	}
 }
 
-// TestFrontendStage runs a pipeline from source text: the frontend
-// stage compiles the program and later stages analyze it.
+// TestFrontendStage runs a pipeline from a Mini-Java file: the
+// frontend stage compiles the program and later stages analyze it.
 func TestFrontendStage(t *testing.T) {
 	src := `
 class A {
@@ -75,15 +77,19 @@ class A {
     a.f = o;
   }
 }`
+	path := filepath.Join(t.TempDir(), "frontend-test.mj")
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	res, err := analysis.Run(context.Background(), analysis.Request{
-		Source: &analysis.Source{Text: src, Name: "frontend-test"},
+		Source: &analysis.Source{MJFile: path},
 		Job:    analysis.Job{Spec: "insens"},
 		Limits: analysis.Limits{Budget: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Prog == nil || res.Prog.Name != "frontend-test" {
+	if res.Prog == nil || res.Prog.Name != path {
 		t.Fatalf("frontend did not populate the program: %+v", res.Prog)
 	}
 	if res.Stages[0].Stage != analysis.StageFrontend {

@@ -7,9 +7,9 @@
 //
 // A Pipeline executes named stages over a shared Result:
 //
-//	frontend    resolve a Source (suite benchmark, .mj/.ir file, or
-//	            inline Mini-Java) to an ir.Program; skipped when the
-//	            Request supplies the program directly
+//	frontend    resolve a Source (suite benchmark, .mj or .ir file)
+//	            to an ir.Program; skipped when the Request supplies
+//	            the program directly
 //	pre-pass    the context-insensitive solver pass whose results feed
 //	            the introspection metrics
 //	metrics     the paper's six cost metrics over the pre-pass

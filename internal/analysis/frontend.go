@@ -9,8 +9,8 @@ import (
 	"introspect/internal/suite"
 )
 
-// Source is the frontend stage's input: exactly one of Bench, MJFile,
-// IRFile, or Text must be set.
+// Source is the frontend stage's input: exactly one of Bench, MJFile
+// or IRFile must be set.
 type Source struct {
 	// Bench names a synthetic suite benchmark (suite.Names lists them).
 	Bench string
@@ -18,25 +18,21 @@ type Source struct {
 	MJFile string
 	// IRFile is the path of a textual-IR (.ir) file.
 	IRFile string
-	// Text is inline Mini-Java source; Name names the program
-	// (defaults to "program").
-	Text string
-	Name string
 }
 
 // Load resolves the source to a program. This is the frontend stage's
-// implementation, exported so tools that need the program before the
-// pipeline runs (cmd/minijavac dumps the IR first) share the exact
+// implementation, exported so tools that need the program without
+// running the pipeline (cmd/pta -emit and -dumpstats) share the exact
 // same loading code.
 func (s *Source) Load() (*ir.Program, error) {
 	n := 0
-	for _, v := range []string{s.Bench, s.MJFile, s.IRFile, s.Text} {
+	for _, v := range []string{s.Bench, s.MJFile, s.IRFile} {
 		if v != "" {
 			n++
 		}
 	}
 	if n != 1 {
-		return nil, errors.New("analysis: exactly one of Source.Bench, .MJFile, .IRFile, .Text is required")
+		return nil, errors.New("analysis: exactly one of Source.Bench, .MJFile, .IRFile is required")
 	}
 	switch {
 	case s.Bench != "":
@@ -47,17 +43,11 @@ func (s *Source) Load() (*ir.Program, error) {
 			return nil, err
 		}
 		return lang.Compile(s.MJFile, string(src))
-	case s.IRFile != "":
+	default:
 		src, err := os.ReadFile(s.IRFile)
 		if err != nil {
 			return nil, err
 		}
 		return ir.ParseString(string(src))
-	default:
-		name := s.Name
-		if name == "" {
-			name = "program"
-		}
-		return lang.Compile(name, s.Text)
 	}
 }

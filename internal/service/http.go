@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"time"
 
 	"introspect/internal/analysis"
 	ptav1 "introspect/pta/v1"
@@ -79,13 +80,25 @@ func wantsPrometheus(r *http.Request) bool {
 }
 
 func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+	// The body is read before admission control, so its read gets the
+	// default request deadline: a client that stalls mid-body holds its
+	// connection and buffer no longer. In-process recorders support no
+	// deadline (ErrNotSupported); their reads stay unbounded.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(s.cfg.DefaultDeadline))
 	req, serr := ptav1.DecodeAnalyze(r, s.maxBody())
 	if serr != nil {
+		// The deadline stays: it also bounds the server's discard of
+		// the unread body.
 		s.metrics.add(&s.metrics.doc.Requests)
 		s.metrics.add(&s.metrics.doc.Rejected.Invalid)
 		writeError(w, serr)
 		return
 	}
+	// Cleared once the body is in: net/http's background read, which
+	// watches for the client going away, would otherwise time out and
+	// cancel the request's context mid-solve.
+	_ = rc.SetReadDeadline(time.Time{})
 	if req.Stream {
 		s.streamAnalyze(w, r, req)
 		return

@@ -1,13 +1,16 @@
 package service_test
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"introspect/internal/analysis"
 	"introspect/internal/service"
@@ -151,5 +154,47 @@ func TestOneProgramEntryPerSource(t *testing.T) {
 	}
 	if m := svc.Metrics(); m.Cache.Misses != 4 || m.Cache.Hits != 2 || m.PrePassShared != 1 {
 		t.Errorf("misses %d, hits %d, pre_pass_shared %d; want 4, 2 and 1", m.Cache.Misses, m.Cache.Hits, m.PrePassShared)
+	}
+}
+
+// TestStalledBodyTimesOut sends a raw body over a real socket that
+// declares 8 MiB, delivers 13 bytes and then stalls. The body read is
+// held to the default request deadline, so the client gets a 400
+// bad_request naming the read timeout instead of a connection the
+// daemon keeps, with its goroutine and read buffer, for as long as the
+// client likes.
+func TestStalledBodyTimesOut(t *testing.T) {
+	svc := service.MustNew(service.Config{Workers: 1, DefaultDeadline: 300 * time.Millisecond})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Far above the deadline, so a server that waits forever fails the
+	// test instead of hanging it.
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	const head = "POST /v1/analyze?spec=insens HTTP/1.1\r\nHost: ptad\r\n" +
+		"Content-Type: text/plain\r\nContent-Length: 8388608\r\n\r\n"
+	if _, err := io.WriteString(conn, head+"class Main {\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no response to a stalled body after %v: %v", time.Since(start), err)
+	}
+	defer resp.Body.Close()
+	var body ptav1.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("not an error envelope: %v", err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || body.Code != ptav1.CodeBadRequest ||
+		!strings.HasPrefix(body.Error, "reading body: ") || !strings.Contains(body.Error, "i/o timeout") {
+		t.Errorf("status %d, envelope %+v; want 400 bad_request reading body: ... i/o timeout", resp.StatusCode, body)
 	}
 }

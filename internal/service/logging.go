@@ -109,6 +109,10 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// Unwrap lets http.ResponseController reach the connection's
+// deadlines through the wrapper.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // withObservability is the edge middleware: it resolves the request's
 // correlation ID (honoring a sanitized inbound header, minting
 // otherwise), reflects it on the response, threads a reqInfo through

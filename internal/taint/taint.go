@@ -124,6 +124,34 @@ func (s *Spec) Clone() *Spec {
 	}
 }
 
+// SpecFromLists builds a Spec from three comma-separated pattern
+// lists, the form the command-line flags and pta/v1's query parameters
+// take. Each element is trimmed of whitespace and empty elements are
+// dropped; when no list has an element left there is no taint job, and
+// the result is nil. A non-nil result still needs Validate.
+func SpecFromLists(sources, sinks, sanitizers string) *Spec {
+	src, snk, san := splitList(sources), splitList(sinks), splitList(sanitizers)
+	if len(src) == 0 && len(snk) == 0 && len(san) == 0 {
+		return nil
+	}
+	return &Spec{Sources: src, Sinks: snk, Sanitizers: san}
+}
+
+// splitList splits a comma-separated list, trimming whitespace and
+// dropping empty elements.
+func splitList(s string) []string {
+	if s == "" {
+		return nil
+	}
+	var out []string
+	for _, p := range strings.Split(s, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // matches reports whether pattern pat selects method m: qualified name,
 // signature string, or bare name.
 func matches(prog *ir.Program, m ir.MethodID, pat string) bool {

@@ -2,6 +2,7 @@ package taint_test
 
 import (
 	"context"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -235,6 +236,31 @@ func TestSpecValidate(t *testing.T) {
 	ok := taint.Spec{Sources: []string{"a"}, Sinks: []string{"b"}, Sanitizers: []string{"c"}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
+	}
+}
+
+// TestSpecFromLists pins how a comma-list triple becomes a Spec:
+// elements are trimmed, empty ones dropped, and three lists with no
+// element left mean no taint job at all.
+func TestSpecFromLists(t *testing.T) {
+	for _, tc := range []struct {
+		sources, sinks, sans string
+		want                 *taint.Spec
+	}{
+		{"", "", "", nil},
+		{" ", "", "", nil},
+		{" , ,", " ", ",", nil},
+		{"A.get", "B.put", "", &taint.Spec{Sources: []string{"A.get"}, Sinks: []string{"B.put"}}},
+		{" A.get , get/0 ,", ",B.put,,", " C.scrub ",
+			&taint.Spec{Sources: []string{"A.get", "get/0"}, Sinks: []string{"B.put"}, Sanitizers: []string{"C.scrub"}}},
+		// One non-empty list is a taint job; Validate rejects it later.
+		{"A.get", " ", "", &taint.Spec{Sources: []string{"A.get"}}},
+		{"", "", "C.scrub", &taint.Spec{Sanitizers: []string{"C.scrub"}}},
+	} {
+		got := taint.SpecFromLists(tc.sources, tc.sinks, tc.sans)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("SpecFromLists(%q, %q, %q) = %+v, want %+v", tc.sources, tc.sinks, tc.sans, got, tc.want)
+		}
 	}
 }
 

@@ -160,10 +160,7 @@ func decodeQuery(req *AnalyzeRequest, q map[string][]string) *Error {
 	if _, ok := q["workers"]; ok {
 		return Errorf(CodeBadRequest, "workers: unknown parameter (every job runs on the serial solver)")
 	}
-	sources, sinks, sans := splitList(get("taint-sources")), splitList(get("taint-sinks")), splitList(get("taint-sanitizers"))
-	if len(sources) > 0 || len(sinks) > 0 || len(sans) > 0 {
-		req.Job.Taint = &taint.Spec{Sources: sources, Sinks: sinks, Sanitizers: sans}
-	}
+	req.Job.Taint = taint.SpecFromLists(get("taint-sources"), get("taint-sinks"), get("taint-sanitizers"))
 	return decodePresentation(req, q)
 }
 
@@ -196,19 +193,4 @@ func contentType(r *http.Request) string {
 		ct = ct[:i]
 	}
 	return strings.TrimSpace(ct)
-}
-
-// splitList parses a comma-separated parameter value, trimming
-// whitespace and dropping empty elements.
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -84,6 +84,14 @@ func TestDecodeEncodingsAgree(t *testing.T) {
 				}},
 			},
 		},
+		{
+			// Lists that hold only blanks and commas name no pattern,
+			// so they are no taint job, not an invalid one.
+			name:  "blank taint lists",
+			json:  `{"source":` + quote(src) + `,"job":{"spec":"2objH"}}`,
+			query: "spec=2objH&taint-sources=%20&taint-sinks=,%20,&taint-sanitizers=",
+			want:  ptav1.AnalyzeRequest{Source: src, Job: analysis.Job{Spec: "2objH"}},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -123,7 +123,7 @@ wait_url() {
 # as NDJSON — stage events first, one terminal result event last. (The
 # stronger ≥1-snapshot-before-terminal property is pinned by
 # TestStreamDeliversProgress, which controls snap-every.)
-go run ./scripts/suitedump jython >/tmp/ptad-jython.$$.ir
+go run ./cmd/pta -bench jython -emit /tmp/ptad-jython.$$.ir
 STREAM=$(curl -sS --data-binary @/tmp/ptad-jython.$$.ir \
     "$URL/v1/analyze?lang=ir&spec=insens&budget=-1&name=jython&stream=1")
 echo "$STREAM" | grep -q '"event":"stage"'
