@@ -2,12 +2,14 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
-// Builder constructs a Program incrementally. It is not safe for
-// concurrent use. Identifiers returned by Add* methods are valid in the
-// final Program.
+// Builder constructs a Program incrementally: a new one from
+// NewBuilder, or a changed copy of a finished one from Program.Extend.
+// It is not safe for concurrent use. Identifiers returned by Add*
+// methods are valid in the final Program.
 //
 // Typical usage:
 //
@@ -32,6 +34,32 @@ func NewBuilder(name string) *Builder {
 	b.prog.Name = name
 	b.prog.ArrayElem = None
 	b.prog.ObjectType = b.AddClass("Object", None, nil)
+	return b
+}
+
+// Extend returns a Builder over a copy of p; p itself is not changed.
+// Every id valid in p keeps its meaning in the program the Builder
+// finishes, and the Builder finds p's types and signatures by name.
+func (p *Program) Extend() *Builder {
+	b := &Builder{
+		prog:    *p,
+		sigIdx:  make(map[string]SigID, len(p.Sigs)),
+		typeIdx: make(map[string]TypeID, len(p.Types)),
+	}
+	b.prog.Types = slices.Clone(p.Types)
+	b.prog.Vars = slices.Clone(p.Vars)
+	b.prog.Heaps = slices.Clone(p.Heaps)
+	b.prog.Fields = slices.Clone(p.Fields)
+	b.prog.Methods = slices.Clone(p.Methods)
+	b.prog.Sigs = slices.Clone(p.Sigs)
+	b.prog.Invos = slices.Clone(p.Invos)
+	b.prog.Entries = slices.Clone(p.Entries)
+	for i, s := range p.Sigs {
+		b.sigIdx[s] = SigID(i)
+	}
+	for i := range p.Types {
+		b.typeIdx[p.Types[i].Name] = TypeID(i)
+	}
 	return b
 }
 
@@ -61,6 +89,18 @@ func (b *Builder) AddClass(name string, super TypeID, ifaces []TypeID) TypeID {
 // AddAbstractClass adds a class that is never instantiated directly.
 func (b *Builder) AddAbstractClass(name string, super TypeID, ifaces []TypeID) TypeID {
 	return b.addType(name, ClassKind, super, ifaces, true)
+}
+
+// AddRootClass adds a class that, unlike every other class a Builder
+// adds, does not extend Object: it is a hierarchy root of its own. Its
+// objects fail every cast to a program type, Object included, which is
+// what a synthetic analysis-fact class wants.
+func (b *Builder) AddRootClass(name string) TypeID {
+	t := b.AddClass(name, None, nil)
+	if t != None {
+		b.prog.Types[t].Super = None
+	}
+	return t
 }
 
 // AddInterface adds an interface extending the given interfaces.
@@ -161,6 +201,25 @@ func (b *Builder) addMethod(owner TypeID, name, sig string, nparams int, void, s
 	return mb
 }
 
+// Method returns a MethodBuilder that adds to the existing method id.
+// It clips the method's instruction lists first, so that on a Builder
+// from Extend an append copies a list rather than writing into the
+// array the extended program still holds.
+func (b *Builder) Method(id MethodID) *MethodBuilder {
+	m := &b.prog.Methods[id]
+	m.Allocs = slices.Clip(m.Allocs)
+	m.Moves = slices.Clip(m.Moves)
+	m.Loads = slices.Clip(m.Loads)
+	m.Stores = slices.Clip(m.Stores)
+	m.Calls = slices.Clip(m.Calls)
+	m.Casts = slices.Clip(m.Casts)
+	m.SLoads = slices.Clip(m.SLoads)
+	m.SStores = slices.Clip(m.SStores)
+	m.Throws = slices.Clip(m.Throws)
+	m.Catches = slices.Clip(m.Catches)
+	return &MethodBuilder{b: b, id: id}
+}
+
 // ID returns the method's identifier.
 func (mb *MethodBuilder) ID() MethodID { return mb.id }
 
@@ -174,6 +233,17 @@ func (mb *MethodBuilder) Formal(i int) VarID { return mb.m().Formals[i] }
 
 // Ret returns the return-value variable (None for void methods).
 func (mb *MethodBuilder) Ret() VarID { return mb.m().Ret }
+
+// SetRet makes v the return variable, the one callers observe.
+// Instructions that wrote the old return variable keep writing it, so
+// an edit that reroutes a return bridges the two, say with a Cast.
+func (mb *MethodBuilder) SetRet(v VarID) {
+	if mb.m().Ret == None {
+		mb.b.fail("SetRet on void method %s", mb.m().Name)
+		return
+	}
+	mb.m().Ret = v
+}
 
 // NewVar creates a fresh local variable in this method.
 func (mb *MethodBuilder) NewVar(name string, t TypeID) VarID {
@@ -190,7 +260,7 @@ func (mb *MethodBuilder) Alloc(v VarID, t TypeID, label string) HeapID {
 	h := HeapID(len(mb.b.prog.Heaps))
 	name := label
 	if name == "" {
-		name = fmt.Sprintf("new %s@%s#%d", mb.b.prog.Types[t].Name, mb.m().Name, len(mb.m().Allocs))
+		name = fmt.Sprintf("new %s@%s#%d", mb.b.prog.TypeName(t), mb.m().Name, len(mb.m().Allocs))
 	}
 	mb.b.prog.Heaps = append(mb.b.prog.Heaps, Heap{Name: name, Type: t, Method: mb.id})
 	mb.m().Allocs = append(mb.m().Allocs, Alloc{Var: v, Heap: h})
@@ -314,8 +384,9 @@ func (b *Builder) MustFinish() *Program {
 }
 
 // computeHierarchy computes the subtype closures and virtual-dispatch
-// tables of p. Builder.Finish runs it automatically; Deriver.Finish and
-// Merge run it again for programs assembled outside a Builder.
+// tables of p. Builder.Finish runs it on every program it returns; on
+// a Builder from Extend it replaces the copied types' maps with new
+// ones, so the extended program's maps are never written.
 func (p *Program) computeHierarchy() error {
 	// Topological order over supertype edges (parents first).
 	order := make([]TypeID, 0, len(p.Types))
@@ -355,12 +426,12 @@ func (p *Program) computeHierarchy() error {
 		tt := &p.Types[t]
 		tt.ancestors = map[TypeID]bool{t: true}
 		if tt.Super != None {
-			for a := range p.Types[tt.Super].ancestors {
+			for a := range p.Types[tt.Super].ancestors { //introvet:allow set union: the result is the same set in any order
 				tt.ancestors[a] = true
 			}
 		}
 		for _, i := range tt.Interfaces {
-			for a := range p.Types[i].ancestors {
+			for a := range p.Types[i].ancestors { //introvet:allow set union: the result is the same set in any order
 				tt.ancestors[a] = true
 			}
 		}
@@ -380,7 +451,7 @@ func (p *Program) computeHierarchy() error {
 		tt := &p.Types[t]
 		tt.dispatch = make(map[SigID]MethodID)
 		if tt.Super != None {
-			for s, m := range p.Types[tt.Super].dispatch {
+			for s, m := range p.Types[tt.Super].dispatch { //introvet:allow map copy: the result is the same map in any order
 				tt.dispatch[s] = m
 			}
 		}

@@ -206,7 +206,7 @@ type Invo struct {
 
 // Program is a complete, frozen analysis subject. Build one with a
 // Builder; a Program returned by Builder.Finish is immutable and
-// validated.
+// validated. To change one, Extend it and finish the copy.
 type Program struct {
 	Name    string
 	Types   []Type

@@ -1,7 +1,9 @@
 package ir
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -208,4 +210,99 @@ func TestTypeByName(t *testing.T) {
 	if b.TypeByName("nope") != None {
 		t.Error("TypeByName of unknown should be None")
 	}
+}
+
+// TestExtend: a Builder from Extend changes a copy. Finished unchanged
+// it reproduces its base; an edit keeps every base id, and neither the
+// base nor a copy built earlier from it changes, even where an edited
+// instruction list has spare capacity in the base.
+func TestExtend(t *testing.T) {
+	b := NewBuilder("base")
+	cls := b.AddClass("A", None, nil)
+	main := b.AddStaticMethod(cls, "main", 0, true)
+	x, y := main.NewVar("x", cls), main.NewVar("y", None)
+	main.Alloc(x, cls, "")
+	for i := 0; i < 3; i++ {
+		main.Move(y, x)
+	}
+	get := b.AddStaticMethod(cls, "get", 0, false)
+	b.AddEntry(main.ID())
+	base := b.MustFinish()
+	if ms := base.Methods[main.ID()].Moves; cap(ms) == len(ms) {
+		t.Fatalf("main's moves have no spare capacity (len %d), so the test shows nothing", len(ms))
+	}
+	dump := func(p *Program) string { return fmt.Sprintf("%v", *p) }
+	before := dump(base)
+	if same, err := base.Extend().Finish(); err != nil || dump(same) != before {
+		t.Fatalf("an unchanged extension differs from its base (err %v)", err)
+	}
+
+	extend := func(root string, to VarID) (*Program, TypeID) {
+		e := base.Extend()
+		if e.TypeByName("A") != cls || e.Sig("get/0") != base.Methods[get.ID()].Sig {
+			t.Fatal("Extend does not index the base's types and signatures")
+		}
+		r := e.AddRootClass(root)
+		mb := e.Method(main.ID())
+		v := mb.NewVar(root, None)
+		mb.Alloc(v, r, "")
+		mb.Move(to, v)
+		gb := e.Method(get.ID())
+		gb.SetRet(gb.NewVar("r", None))
+		p, err := e.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, r
+	}
+	first, r := extend("R1", y)
+	firstDump := dump(first)
+	extend("R2", x)
+	if dump(base) != before {
+		t.Error("extending changed the base program")
+	}
+	if dump(first) != firstDump {
+		t.Error("a second extension changed the first one's program")
+	}
+	if first.SubtypeOf(r, first.ObjectType) {
+		t.Error("a root class extends Object")
+	}
+	if got := first.Methods[main.ID()].Moves; len(got) != 4 || got[3].To != y {
+		t.Errorf("main's moves = %v, want the base's three and one more", got)
+	}
+
+	e := base.Extend()
+	e.Method(main.ID()).SetRet(x)
+	if _, err := e.Finish(); err == nil || !strings.Contains(err.Error(), "void") {
+		t.Errorf("SetRet on a void method: error %v, want one naming it void", err)
+	}
+}
+
+// TestExtendConcurrently: Extend and Method only read the base program,
+// so builders extending one program may run at once, even where an
+// edited list has spare capacity in the base (run with -race).
+func TestExtendConcurrently(t *testing.T) {
+	b := NewBuilder("base")
+	cls := b.AddClass("A", None, nil)
+	main := b.AddStaticMethod(cls, "main", 0, true)
+	x := main.NewVar("x", cls)
+	for i := 0; i < 3; i++ {
+		main.Move(x, x)
+	}
+	b.AddEntry(main.ID())
+	base := b.MustFinish()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := base.Extend()
+			mb := e.Method(main.ID())
+			mb.Move(mb.NewVar("v", None), x)
+			if _, err := e.Finish(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
 }

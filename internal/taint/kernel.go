@@ -5,7 +5,7 @@ import (
 )
 
 // The taint kernel is a small fixed program with *known* source→sink
-// flows, grafted onto arbitrary subjects with WithKernel (ir.Merge). It
+// flows, grafted onto arbitrary subjects with WithKernel. It
 // is the ground truth of the Figure 9 experiment: every dynamic flow in
 // it is decidable by inspection, so a policy's report set splits
 // cleanly into true and false positives. Its four sink calls are
@@ -50,7 +50,33 @@ func KernelSpec() *Spec {
 // Kernel builds the standalone kernel program and its ground truth.
 func Kernel() (*ir.Program, *GroundTruth) {
 	b := ir.NewBuilder("taintkernel")
+	truth := addKernel(b)
+	prog := b.MustFinish()
+	return prog, truth(prog)
+}
 
+// WithKernel grafts the kernel onto base: the result, named
+// base.Name+"+taint", keeps every base id and runs both programs'
+// entry points, the kernel's invocation-site names (and so the ground
+// truth) are preserved verbatim, and KernelSpec matches only kernel
+// methods. base itself is not changed. This is how the Figure 9 fleet
+// turns each suite benchmark into a taint subject whose report set has
+// decidable truth.
+func WithKernel(base *ir.Program) (*ir.Program, *GroundTruth, error) {
+	b := base.Extend()
+	truth := addKernel(b)
+	prog, err := b.Finish()
+	if err != nil {
+		return nil, nil, err
+	}
+	prog.Name = base.Name + "+taint"
+	return prog, truth(prog), nil
+}
+
+// addKernel adds the kernel's classes, methods and entry point to b.
+// The returned function reads the ground truth off the finished
+// program, where the sink calls' invocation sites have their names.
+func addKernel(b *ir.Builder) func(*ir.Program) *GroundTruth {
 	data := b.AddClass("TaintData", ir.None, nil)
 
 	wrap := b.AddClass("TaintWrap", ir.None, nil)
@@ -110,26 +136,11 @@ func Kernel() (*ir.Program, *GroundTruth) {
 	sinkFacCold := main.Call(ir.None, publish.ID(), ir.None, g)
 
 	b.AddEntry(main.ID())
-	prog := b.MustFinish()
-
-	gt := &GroundTruth{
-		Tainted:   []string{prog.InvoName(sinkHot), prog.InvoName(sinkFacHot)},
-		Clean:     []string{prog.InvoName(sinkCold), prog.InvoName(sinkSan), prog.InvoName(sinkFacCold)},
-		Sanitized: []string{prog.InvoName(sinkSan)},
+	return func(prog *ir.Program) *GroundTruth {
+		return &GroundTruth{
+			Tainted:   []string{prog.InvoName(sinkHot), prog.InvoName(sinkFacHot)},
+			Clean:     []string{prog.InvoName(sinkCold), prog.InvoName(sinkSan), prog.InvoName(sinkFacCold)},
+			Sanitized: []string{prog.InvoName(sinkSan)},
+		}
 	}
-	return prog, gt
-}
-
-// WithKernel grafts the kernel onto base: the merged program runs both
-// entry points, the kernel's invocation-site names (and so the ground
-// truth) are preserved verbatim, and KernelSpec matches only kernel
-// methods. This is how the Figure 9 fleet turns each suite benchmark
-// into a taint subject whose report set has decidable truth.
-func WithKernel(base *ir.Program) (*ir.Program, *GroundTruth, error) {
-	kern, gt := Kernel()
-	merged, err := ir.Merge(base.Name+"+taint", base, kern)
-	if err != nil {
-		return nil, nil, err
-	}
-	return merged, gt, nil
 }

@@ -43,7 +43,7 @@ package taint
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"introspect/internal/ir"
@@ -217,51 +217,48 @@ func Inject(prog *ir.Program, spec *Spec) (*ir.Program, *Injection, error) {
 		sourceOf: make(map[ir.HeapID]ir.MethodID),
 		sinks:    make(map[ir.MethodID]bool),
 	}
-	matchSet := func(pats []string) map[ir.MethodID]bool {
-		set := make(map[ir.MethodID]bool)
-		for m := 0; m < prog.NumMethods(); m++ {
-			for _, pat := range pats {
-				if matches(prog, ir.MethodID(m), pat) {
-					set[ir.MethodID(m)] = true
-					break
-				}
+	// match returns the methods some pattern selects, in id order.
+	match := func(pats []string) []ir.MethodID {
+		var out []ir.MethodID
+		for m := ir.MethodID(0); int(m) < prog.NumMethods(); m++ {
+			if slices.ContainsFunc(pats, func(pat string) bool { return matches(prog, m, pat) }) {
+				out = append(out, m)
 			}
 		}
-		return set
+		return out
 	}
-	srcSet := matchSet(spec.Sources)
-	sinkSet := matchSet(spec.Sinks)
-	sanSet := matchSet(spec.Sanitizers)
-	for m := range srcSet {
-		if sinkSet[m] {
-			return nil, nil, fmt.Errorf("taint: method %s matched as both source and sink", prog.MethodName(m))
-		}
-		if sanSet[m] {
-			return nil, nil, fmt.Errorf("taint: method %s matched as both source and sanitizer", prog.MethodName(m))
-		}
-	}
-	for m := range sanSet {
-		if sinkSet[m] {
-			return nil, nil, fmt.Errorf("taint: method %s matched as both sink and sanitizer", prog.MethodName(m))
-		}
-	}
-	inj.Sources = sortedMethods(srcSet)
-	inj.Sinks = sortedMethods(sinkSet)
-	inj.Sanitizers = sortedMethods(sanSet)
+	inj.Sources = match(spec.Sources)
+	inj.Sinks = match(spec.Sinks)
+	inj.Sanitizers = match(spec.Sanitizers)
 	for _, m := range inj.Sinks {
 		inj.sinks[m] = true
 	}
-	d := prog.Derive()
-	if d.HasType(TaintClass) {
+	// Roles are checked in id order, so a spec with several conflicts
+	// always names the same one.
+	for _, m := range inj.Sources {
+		if inj.sinks[m] {
+			return nil, nil, fmt.Errorf("taint: method %s matched as both source and sink", prog.MethodName(m))
+		}
+		if _, ok := slices.BinarySearch(inj.Sanitizers, m); ok {
+			return nil, nil, fmt.Errorf("taint: method %s matched as both source and sanitizer", prog.MethodName(m))
+		}
+	}
+	for _, m := range inj.Sanitizers {
+		if inj.sinks[m] {
+			return nil, nil, fmt.Errorf("taint: method %s matched as both sink and sanitizer", prog.MethodName(m))
+		}
+	}
+	b := prog.Extend()
+	if b.TypeByName(TaintClass) != ir.None {
 		return nil, nil, fmt.Errorf("taint: program %q already defines %s", prog.Name, TaintClass)
 	}
-	inj.TaintType = d.AddRootClass(TaintClass)
+	inj.TaintType = b.AddRootClass(TaintClass)
 	for _, m := range inj.Sources {
 		ret := prog.Methods[m].Ret
 		if ret == ir.None {
 			continue // a void source produces no value to taint
 		}
-		h := d.AddAlloc(m, ret, inj.TaintType, TaintClass+"@"+prog.MethodName(m))
+		h := b.Method(m).Alloc(ret, inj.TaintType, TaintClass+"@"+prog.MethodName(m))
 		inj.sourceOf[h] = m
 	}
 	for _, m := range inj.Sanitizers {
@@ -269,22 +266,14 @@ func Inject(prog *ir.Program, spec *Spec) (*ir.Program, *Injection, error) {
 		if ret == ir.None {
 			continue
 		}
-		clean := d.NewVar(m, "ret$clean")
-		d.AddCast(m, clean, ret, prog.ObjectType)
-		d.SetRet(m, clean)
+		mb := b.Method(m)
+		clean := mb.NewVar("ret$clean", ir.None)
+		mb.Cast(clean, ret, prog.ObjectType)
+		mb.SetRet(clean)
 	}
-	p2, err := d.Finish()
+	p2, err := b.Finish()
 	if err != nil {
 		return nil, nil, err
 	}
 	return p2, inj, nil
-}
-
-func sortedMethods(set map[ir.MethodID]bool) []ir.MethodID {
-	out := make([]ir.MethodID, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

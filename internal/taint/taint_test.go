@@ -2,6 +2,7 @@ package taint_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -189,32 +190,71 @@ func TestWithKernelMergesGroundTruth(t *testing.T) {
 	}
 }
 
-// TestInjectLeavesBaseUntouched: Inject derives a copy; the input
-// program's tables must not change.
+// TestInjectLeavesBaseUntouched: Inject and WithKernel build changed
+// copies. The input program dumps the same after each, every table
+// and the sanitizer's Casts and Ret included, and so does the first
+// copy after a second one is built from the same input.
 func TestInjectLeavesBaseUntouched(t *testing.T) {
-	prog, _ := taint.Kernel()
-	heaps, types := prog.NumHeaps(), prog.NumTypes()
-	allocs := make([]int, prog.NumMethods())
-	for i := range prog.Methods {
-		allocs[i] = len(prog.Methods[i].Allocs)
+	dump := func(p *ir.Program) string { return fmt.Sprintf("%v", *p) }
+	kern, _ := taint.Kernel()
+	for _, tc := range []struct {
+		name string
+		base *ir.Program
+		edit func(*ir.Program) (*ir.Program, error)
+	}{
+		{"Inject", kern, func(p *ir.Program) (*ir.Program, error) {
+			p2, _, err := taint.Inject(p, taint.KernelSpec())
+			return p2, err
+		}},
+		{"WithKernel", buildBase(t), func(p *ir.Program) (*ir.Program, error) {
+			p2, _, err := taint.WithKernel(p)
+			return p2, err
+		}},
+	} {
+		before := dump(tc.base)
+		first, err := tc.edit(tc.base)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		firstDump := dump(first)
+		if _, err := tc.edit(tc.base); err != nil {
+			t.Fatalf("%s again: %v", tc.name, err)
+		}
+		if dump(tc.base) != before {
+			t.Errorf("%s changed its input program", tc.name)
+		}
+		if dump(first) != firstDump {
+			t.Errorf("a second %s changed the first one's program", tc.name)
+		}
 	}
-	p2, inj, err := taint.Inject(prog, taint.KernelSpec())
+	p2, inj, err := taint.Inject(kern, taint.KernelSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.NumHeaps() != heaps || prog.NumTypes() != types {
-		t.Fatal("Inject mutated the base program's tables")
-	}
-	for i := range prog.Methods {
-		if len(prog.Methods[i].Allocs) != allocs[i] {
-			t.Fatalf("Inject mutated method %s", prog.MethodName(ir.MethodID(i)))
-		}
-	}
-	if p2.NumHeaps() != heaps+1 {
-		t.Fatalf("injected program has %d heaps, want %d (one source)", p2.NumHeaps(), heaps+1)
+	if p2.NumHeaps() != kern.NumHeaps()+1 {
+		t.Fatalf("injected program has %d heaps, want %d (one source)", p2.NumHeaps(), kern.NumHeaps()+1)
 	}
 	if len(inj.Sources) != 1 || len(inj.Sinks) != 1 || len(inj.Sanitizers) != 1 {
 		t.Fatalf("unexpected match sets: %+v", inj)
+	}
+}
+
+// TestEditErrors: a program that already holds what an edit adds is
+// rejected, with an error naming the clash.
+func TestEditErrors(t *testing.T) {
+	merged, _, err := taint.WithKernel(buildBase(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := taint.WithKernel(merged); err == nil || !strings.Contains(err.Error(), `"TaintData"`) {
+		t.Errorf("WithKernel twice: error %v, want a duplicate type TaintData", err)
+	}
+	injected, _, err := taint.Inject(merged, taint.KernelSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := taint.Inject(injected, taint.KernelSpec()); err == nil || !strings.Contains(err.Error(), "already defines "+taint.TaintClass) {
+		t.Errorf("Inject twice: error %v, want one naming %s", err, taint.TaintClass)
 	}
 }
 
@@ -274,6 +314,28 @@ func TestInjectRoleConflicts(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("source∩sink overlap not rejected")
+	}
+}
+
+// TestInjectRoleConflictDeterministic: with two methods in conflicting
+// roles, every call names the one with the lower id, which need not
+// come first by name.
+func TestInjectRoleConflictDeterministic(t *testing.T) {
+	b := ir.NewBuilder("conflicts")
+	cls := b.AddClass("A", ir.None, nil)
+	main := b.AddStaticMethod(cls, "main", 0, true)
+	for _, name := range []string{"read", "get"} {
+		m := b.AddStaticMethod(cls, name, 0, false)
+		main.Call(main.NewVar(name, ir.None), m.ID(), ir.None)
+	}
+	b.AddEntry(main.ID())
+	prog := b.MustFinish()
+	spec := &taint.Spec{Sources: []string{"A.get", "A.read"}, Sinks: []string{"get/0", "read/0"}}
+	const want = "taint: method A.read matched as both source and sink"
+	for i := 0; i < 20; i++ {
+		if _, _, err := taint.Inject(prog, spec); err == nil || err.Error() != want {
+			t.Fatalf("call %d: error %v, want %q", i, err, want)
+		}
 	}
 }
 
