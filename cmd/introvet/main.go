@@ -54,14 +54,18 @@ import (
 
 // defaultPackages is the determinism-critical set: the solver, the
 // bitset layer under it, the cut-shortcut strategy that edits the
-// constraint graph before solving, and the selection layer, whose
-// decision log is cached and sent on the wire.
+// constraint graph before solving, the selection layer, whose
+// decision log is cached and sent on the wire, and the program
+// builders (the IR and the taint instrumentation), whose ids fix the
+// solver's iteration order and work counts.
 var defaultPackages = []string{
 	"internal/pta",
 	"internal/bits",
 	"internal/cutshortcut",
 	"internal/introspect",
 	"internal/analysis",
+	"internal/ir",
+	"internal/taint",
 }
 
 func main() {

@@ -81,11 +81,25 @@ import (
 	"introspect/internal/service"
 )
 
-// readHeaderTimeout bounds how long a connection may take to send its
-// request headers, so a client that stalls before its body holds no
-// goroutine for longer. A request's body read is bounded per request by
-// the service (the -deadline default), so a large source still has time.
-const readHeaderTimeout = 10 * time.Second
+// Connection timeouts of both listeners. readHeaderTimeout bounds how
+// long a connection may take to send its request headers, so a client
+// that stalls before its body holds no goroutine for longer. A
+// request's body read is bounded per request by the service (the
+// -deadline default), so a large source still has time. idleTimeout
+// closes a keep-alive connection that waits that long for its next
+// request; readHeaderTimeout starts only once that request's first
+// bytes arrive. It is longer than the 90 s a Go client keeps an idle
+// connection, so such a client closes its end first and never sends a
+// request on a connection the server has just closed.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// httpServer returns a server for h with ptad's connection timeouts.
+func httpServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
 
 func main() {
 	if err := run(); err != nil {
@@ -144,7 +158,7 @@ func run() error {
 	// discover the ephemeral port; keep its shape stable.
 	fmt.Printf("ptad: listening on http://%s\n", ln.Addr())
 
-	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	srv := httpServer(svc.Handler())
 	errc := make(chan error, 2)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -155,7 +169,7 @@ func run() error {
 			return fmt.Errorf("debug listener: %w", err)
 		}
 		fmt.Printf("ptad: debug on http://%s (pprof: /debug/pprof/, trace: /debug/trace)\n", dln.Addr())
-		debugSrv = &http.Server{Handler: debugMux(tracer), ReadHeaderTimeout: readHeaderTimeout}
+		debugSrv = httpServer(debugMux(tracer))
 		go func() { errc <- debugSrv.Serve(dln) }()
 	}
 

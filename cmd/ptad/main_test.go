@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -371,6 +373,63 @@ func TestTaintJobHTTP(t *testing.T) {
 	}
 	if !bytes.Contains(body, []byte(`"bad_request"`)) || !bytes.Contains(body, []byte("taint")) {
 		t.Errorf("invalid taint spec: body lacks typed taint error: %s", body)
+	}
+
+	// A valid spec the program rejects, here by matching Net.fetch as
+	// both source and sink, is a typed 400 as well.
+	resp, body = post(analysis.Job{Spec: "2objH", Taint: &taint.Spec{Sources: []string{"Net.fetch"}, Sinks: []string{"fetch"}}})
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("both source and sink")) {
+		t.Errorf("taint spec the program rejects: status %d, want 400: %s", resp.StatusCode, body)
+	}
+}
+
+// TestServerTimeouts: both of ptad's listeners get the header and idle
+// timeouts, and the idle one outlasts the 90 s a Go client keeps an
+// idle connection.
+func TestServerTimeouts(t *testing.T) {
+	srv := httpServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout {
+		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v; want %v and %v",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	if idleTimeout < 2*time.Minute {
+		t.Errorf("idleTimeout %v is shorter than 2m", idleTimeout)
+	}
+}
+
+// TestIdleConnectionClosed: on a real socket, a keep-alive connection
+// left idle after one request is closed by the server once its idle
+// timeout passes. ReadHeaderTimeout alone would leave it open.
+func TestIdleConnectionClosed(t *testing.T) {
+	srv := httpServer(service.MustNew(service.Config{Workers: 1}).Handler())
+	srv.IdleTimeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprint(conn, "GET /healthz HTTP/1.1\r\nHost: ptad\r\n\r\n")
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Close {
+		t.Fatalf("healthz: status %d, close %v; want 200 on a kept-alive connection", resp.StatusCode, resp.Close)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(5 * time.Second))
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("idle connection: read returned %v after %v, want EOF from the server closing it", err, time.Since(start))
 	}
 }
 

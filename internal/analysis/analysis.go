@@ -225,7 +225,7 @@ func taintStage(spec *taint.Spec) stage {
 	return stage{name: StageTaint, run: func(ctx context.Context, p *Pipeline, res *Result) (Stats, error) {
 		prog, inj, err := taint.Inject(res.Prog, spec)
 		if err != nil {
-			return Stats{}, fmt.Errorf("analysis: stage %s: %w", StageTaint, err)
+			return Stats{}, &InvalidTaintError{Err: fmt.Errorf("stage %s: %w", StageTaint, err)}
 		}
 		res.Prog = prog
 		res.TaintInfo = inj

@@ -41,12 +41,15 @@ func (e *BudgetExceededError) Error() string {
 // errors.Is(err, pta.ErrBudgetExceeded) matches.
 func (e *BudgetExceededError) Unwrap() error { return pta.ErrBudgetExceeded }
 
-// InvalidTaintError reports a malformed Job.Taint spec (no sources, no
-// sinks, blank or duplicate patterns, a pattern playing conflicting
-// roles). It is raised at validation time (Job.Validate / NewPipeline),
-// so servers map it to HTTP 400 before admitting the job to a worker.
+// InvalidTaintError reports a Job.Taint spec that is malformed (no
+// sources, no sinks, blank or duplicate patterns, a pattern playing
+// conflicting roles) or that the program rejects (a method matched in
+// conflicting roles, or a program that already defines taint$). The
+// first kind is raised at validation time (Job.Validate / NewPipeline),
+// so servers map it to HTTP 400 before admitting the job to a worker;
+// the second by the taint-inject stage, which servers map to 400 too.
 type InvalidTaintError struct {
-	// Err is the underlying taint.Spec validation error.
+	// Err is the underlying taint error.
 	Err error
 }
 

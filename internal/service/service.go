@@ -480,12 +480,17 @@ func (s *Service) solve(ctx context.Context, fl *flight, req Request, pk, key st
 
 	if runErr != nil {
 		var be *analysis.BudgetExceededError
+		var te *analysis.InvalidTaintError
 		switch {
 		case errors.As(runErr, &be) && res != nil:
 			// Deterministic, reportable outcome, whichever pass ran out
 			// (a capped main pass is the paper's TIMEOUT rows): fall
 			// through and cache it like a success. A capped pre-pass's
 			// document is incomplete, with no precision.
+		case errors.As(runErr, &te):
+			// The program rejects the taint spec: the requester's fault,
+			// as a source that does not parse is.
+			return nil, errf(CodeBadRequest, "%v", runErr)
 		case ctx.Err() != nil:
 			return nil, errf(CodeDeadline, "deadline expired after %s", deadlineStage(res))
 		default:

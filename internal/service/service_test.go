@@ -16,6 +16,7 @@ import (
 	"introspect/internal/randprog"
 	"introspect/internal/service"
 	"introspect/internal/suite"
+	"introspect/internal/taint"
 )
 
 // wallRE scrubs wall-clock fields so pta/v1 documents byte-compare.
@@ -253,6 +254,41 @@ func TestValidation(t *testing.T) {
 	// Each of the 6 rows and the parse failure counts once.
 	if m := svc.Metrics(); m.Rejected.Invalid != 7 {
 		t.Errorf("rejected.invalid = %d, want 7", m.Rejected.Invalid)
+	}
+}
+
+// TestTaintRejectedByProgram: a taint spec that passes validation but
+// that the program rejects is the requester's fault too. Both ways the
+// taint-inject stage rejects one answer bad_request and count under
+// rejected.invalid, not as internal errors.
+func TestTaintRejectedByProgram(t *testing.T) {
+	kern, _ := taint.Kernel()
+	injected, _, err := taint.Inject(kern, taint.KernelSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := service.MustNew(service.Config{Workers: 1})
+	for _, c := range []struct {
+		name string
+		prog *ir.Program
+		spec *taint.Spec
+		want string
+	}{
+		{"method in two roles", kern,
+			&taint.Spec{Sources: []string{"TaintApi.fetch"}, Sinks: []string{"fetch/0"}},
+			"matched as both source and sink"},
+		{"program defines taint$", injected, taint.KernelSpec(), "already defines " + taint.TaintClass},
+	} {
+		_, serr := svc.Analyze(context.Background(), service.Request{
+			Lang: "ir", Source: irText(t, c.prog),
+			Job: analysis.Job{Spec: "insens", Taint: c.spec},
+		})
+		if serr == nil || serr.Code != service.CodeBadRequest || !strings.Contains(serr.Message, c.want) {
+			t.Errorf("%s: error = %v, want code bad_request naming %q", c.name, serr, c.want)
+		}
+	}
+	if m := svc.Metrics(); m.Rejected.Invalid != 2 || m.InternalErrs != 0 {
+		t.Errorf("rejected.invalid = %d, internal_errors = %d; want 2 and 0", m.Rejected.Invalid, m.InternalErrs)
 	}
 }
 
