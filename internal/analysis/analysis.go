@@ -65,6 +65,20 @@ type Request struct {
 	// a pre-pass stage; the result must be complete and for the same
 	// program the request resolves to.
 	First *pta.Result
+	// Metrics, if non-nil, are the introspection metrics of First
+	// (introspect.Compute), injected with it so a caller sharing one
+	// pre-pass also computes its metrics once. Requires First.
+	Metrics *introspect.Metrics
+	// MainPass, if non-nil, is asked by the introspective main-pass
+	// stage, with the refinement the selection chose, for an outcome it
+	// already has. The main pass depends on the job only through that
+	// refinement, so a caller that keys outcomes by it (with the
+	// program, the rest of the job, the budget and provenance) can skip
+	// the solve for thresholds that select alike. A non-nil outcome
+	// replaces the solve: Result.Main stays nil, the stage reports the
+	// outcome's Stats (a capped one as the same *BudgetExceededError),
+	// and the report stage takes its Precision. Nil means solve.
+	MainPass func(*pta.Refinement) *MainOutcome
 
 	// Audit enables the introspection decision audit: the selection
 	// stage records every refine/demote verdict the heuristic reached
@@ -113,7 +127,7 @@ type Result struct {
 	// pass (nil for single-pass pipelines).
 	Selection *introspect.Selection
 	// Main is the main-pass result — for single-pass analyses, the
-	// only pass.
+	// only pass. Nil when Request.MainPass supplied the outcome.
 	Main *pta.Result
 	// Precision holds the paper's three precision metrics over Main.
 	Precision *report.Precision
@@ -126,6 +140,30 @@ type Result struct {
 
 	// Stages records per-stage Stats in execution order.
 	Stages []Stats
+}
+
+// MainOutcome is what a run's document needs from an introspective
+// main pass (Request.MainPass): the stage's Stats and the report
+// stage's Precision. It holds no pta.Result, so keeping one costs
+// bytes.
+type MainOutcome struct {
+	Stats     Stats
+	Precision report.Precision
+}
+
+// MainOutcome returns what a later run selecting the same refinement
+// needs from this run's main pass, or nil if the report stage did not
+// run.
+func (r *Result) MainOutcome() *MainOutcome {
+	if r.Precision == nil {
+		return nil
+	}
+	for _, st := range r.Stages {
+		if st.Stage == StageMainPass {
+			return &MainOutcome{Stats: st, Precision: *r.Precision}
+		}
+	}
+	return nil
 }
 
 // Pipeline is a named sequence of stages over a shared Result. Build
@@ -263,7 +301,10 @@ func injectPrePassStage(first *pta.Result) stage {
 
 func metricsStage() stage {
 	return stage{name: StageMetrics, run: func(ctx context.Context, p *Pipeline, res *Result) (Stats, error) {
-		res.Metrics = introspect.Compute(res.First)
+		res.Metrics = p.req.Metrics
+		if res.Metrics == nil {
+			res.Metrics = introspect.Compute(res.First)
+		}
 		return Stats{}, nil
 	}}
 }
@@ -322,6 +363,11 @@ func mainPassIntrospective(deep pta.Spec) stage {
 		// Per the paper, the second pass runs identical analysis code;
 		// only the (complement-form) SITETOREFINE / OBJECTTOREFINE
 		// inputs — res.Selection.Refinement — differ.
+		if p.req.MainPass != nil {
+			if out := p.req.MainPass(res.Selection.Refinement); out != nil {
+				return reuseMainPass(out, res)
+			}
+		}
 		tab := pta.NewTable()
 		pol := pta.NewIntrospective(
 			pta.NewPolicy(deep, res.Prog, tab),
@@ -333,10 +379,32 @@ func mainPassIntrospective(deep pta.Spec) stage {
 	}}
 }
 
+// reuseMainPass stands a recorded outcome in for the main-pass solve:
+// the same Stats, the same error for a capped pass, and the Precision
+// the report stage would measure. As with an injected pre-pass, the
+// stage's Wall is the lookup; Precision.ElapsedMS stays the solve's.
+func reuseMainPass(out *MainOutcome, res *Result) (Stats, error) {
+	pr := out.Precision
+	res.Precision = &pr
+	st := out.Stats
+	if !st.BudgetExceeded {
+		return st, nil
+	}
+	return st, &BudgetExceededError{
+		Stage:       StageMainPass,
+		Analysis:    st.Analysis,
+		Work:        st.Work,
+		Derivations: st.Derivations,
+		Elapsed:     time.Duration(pr.ElapsedMS) * time.Millisecond,
+	}
+}
+
 func reportStage() stage {
 	return stage{name: StageReport, run: func(ctx context.Context, p *Pipeline, res *Result) (Stats, error) {
-		pr := report.Measure(res.Main)
-		res.Precision = &pr
+		if res.Precision == nil { // else a reused main pass brought it
+			pr := report.Measure(res.Main)
+			res.Precision = &pr
+		}
 		return Stats{}, nil
 	}}
 }

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"introspect/internal/analysis"
+	"introspect/internal/introspect"
 	"introspect/internal/pta"
 	"introspect/internal/randprog"
 )
@@ -137,26 +139,94 @@ func TestPrePassBudgetPropagates(t *testing.T) {
 	}
 }
 
-// TestInjectedPrePassReused pins Request.First: a completed
-// insensitive result for the same program becomes the pipeline's
-// pre-pass as is, instead of being solved again.
+// TestInjectedPrePassReused pins Request.First and Request.Metrics: a
+// completed insensitive result for the same program, and its metrics,
+// become the pipeline's pre-pass and metrics as is, instead of being
+// computed again. Metrics without First is rejected.
 func TestInjectedPrePassReused(t *testing.T) {
 	prog := randprog.Generate(7, randprog.Default())
 	first, err := pta.Analyze(context.Background(), prog, "insens", pta.Options{Budget: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := analysis.Run(context.Background(), analysis.Request{
-		Prog: prog, First: first,
+	metrics := introspect.Compute(first)
+	req := analysis.Request{
+		Prog: prog, First: first, Metrics: metrics,
 		Job:    analysis.Job{Spec: "2objH-IntroA"},
 		Limits: analysis.Limits{Budget: -1},
-	})
+	}
+	res, err := analysis.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.First != first {
-		t.Error("the injected pre-pass result was not reused")
+	if res.First != first || res.Metrics != metrics {
+		t.Error("the injected pre-pass result or its metrics were not reused")
 	}
+	req.First = nil
+	if _, err := analysis.Run(context.Background(), req); err == nil || !strings.Contains(err.Error(), "Request.Metrics requires Request.First") {
+		t.Errorf("Metrics without First: err = %v", err)
+	}
+}
+
+// TestMainPassOutcomeReused pins Request.MainPass: asked with the
+// refinement the selection chose, a recorded outcome stands in for the
+// main-pass solve, complete or capped. The document equals the one a
+// solve of the same job produces, wall times aside, and a capped
+// outcome returns the same *BudgetExceededError.
+func TestMainPassOutcomeReused(t *testing.T) {
+	prog := randprog.Generate(7, randprog.Default())
+	ctx := context.Background()
+	// Thresholds far above every metric refine everything, so the two
+	// jobs differ in their thresholds and decisions but not in the
+	// refinement they select.
+	donor := analysis.Job{Spec: "2objH-IntroA", Thresholds: &analysis.Thresholds{K: 1 << 20, L: 1 << 20, M: 1 << 20}}
+	job := analysis.Job{Spec: "2objH-IntroA", Thresholds: &analysis.Thresholds{K: 1 << 21, L: 1 << 21, M: 1 << 21}}
+	for _, budget := range []int64{-1, 0} {
+		run := func(job analysis.Job, mainPass func(*pta.Refinement) *analysis.MainOutcome) (*analysis.Result, error) {
+			return analysis.Run(ctx, analysis.Request{Prog: prog, Job: job, Audit: true, MainPass: mainPass,
+				Limits: analysis.Limits{Budget: budget}})
+		}
+		d, derr := run(donor, nil)
+		if budget == 0 { // cap the main pass just past the pre-pass
+			budget = d.First.Work
+			d, derr = run(donor, nil)
+		}
+		out := d.MainOutcome()
+		if out == nil {
+			t.Fatalf("budget %d: donor has no outcome (err %v)", budget, derr)
+		}
+		cold, cerr := run(job, nil)
+		asked := 0
+		res, err := run(job, func(ref *pta.Refinement) *analysis.MainOutcome {
+			asked++
+			if !ref.Heaps.Equal(&d.Selection.Refinement.Heaps) || !ref.Invos.Equal(&d.Selection.Refinement.Invos) ||
+				!ref.Methods.Equal(&d.Selection.Refinement.Methods) {
+				t.Errorf("budget %d: asked with a refinement the donor did not select", budget)
+			}
+			return out
+		})
+		if asked != 1 || res.Main != nil {
+			t.Errorf("budget %d: MainPass asked %d times, Main solved %v; want once and not solved", budget, asked, res.Main != nil)
+		}
+		var cbe, be *analysis.BudgetExceededError
+		if capped := budget >= 0; capped != errors.As(cerr, &cbe) || capped != errors.As(err, &be) || (capped &&
+			(be.Stage != cbe.Stage || be.Analysis != cbe.Analysis || be.Work != cbe.Work || be.Derivations != cbe.Derivations)) {
+			t.Errorf("budget %d: reused err %v, solved err %v", budget, err, cerr)
+		}
+		if c, r := scrubWall(t, analysis.NewRunJSON(cold)), scrubWall(t, analysis.NewRunJSON(res)); c != r {
+			t.Errorf("budget %d: reused document differs from the solved one:\nsolved %s\nreused %s", budget, c, r)
+		}
+	}
+}
+
+// scrubWall renders a document with its wall times zeroed.
+func scrubWall(t *testing.T, doc *analysis.RunJSON) string {
+	t.Helper()
+	b, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return regexp.MustCompile(`"(wall_ns|elapsed_ms)":\d+`).ReplaceAllString(string(b), `"$1":0`)
 }
 
 // TestMainPassBudgetStillReports: a budget-exhausted MAIN pass is a

@@ -95,6 +95,9 @@ func NewPipeline(req *Request) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
+	if req.Metrics != nil && req.First == nil {
+		return nil, errors.New("analysis: Request.Metrics requires Request.First (they are injected together)")
+	}
 	if req.First != nil && h == nil {
 		return nil, fmt.Errorf("analysis: Request.First requires a pipeline with a pre-pass stage, got %q", req.Job.Spec)
 	}

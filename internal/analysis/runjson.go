@@ -59,8 +59,11 @@ func NewRunJSON(res *Result) *RunJSON {
 	if res.Prog != nil {
 		out.Program = res.Prog.Name
 	}
-	if res.Main != nil {
+	switch {
+	case res.Main != nil:
 		out.Complete = res.Main.Complete
+	case res.Precision != nil: // a reused main pass (Request.MainPass)
+		out.Complete = !res.Precision.TimedOut
 	}
 	if res.Selection != nil {
 		out.Decisions = res.Selection.Decisions

@@ -125,10 +125,12 @@ func specJobs(specs ...string) []analysis.Job {
 // and every introspective job's Request.First, so a subject's pre-pass
 // is solved once however many variants use it. The rows are identical
 // either way, because the pre-pass is a pure function of the program.
-// A subject whose insensitive solve timed out injects nothing, and its
-// introspective runs then fail on their own capped pre-pass. Of every
-// other run the fleet keeps only its row, so what it holds at once is
-// the insensitive results and the runs in flight.
+// Its introspection metrics are computed once with it and injected
+// too. A subject whose insensitive solve timed out injects nothing, and
+// its introspective runs then fail on their own capped pre-pass. Of
+// every other run the fleet keeps only its row, so what it holds at
+// once is the insensitive results, their metrics and the runs in
+// flight.
 func fleet(cfg Config, subjects []string, jobs []analysis.Job) ([]report.Row, error) {
 	insens := analysis.Job{Spec: "insens"}
 	rows := make([]report.Row, len(subjects)*len(jobs))
@@ -136,12 +138,18 @@ func fleet(cfg Config, subjects []string, jobs []analysis.Job) ([]report.Row, er
 		rows[k] = report.Row{Benchmark: subjects[k/len(jobs)], Precision: *res.Precision}
 	}
 	firsts := make([]*analysis.Result, len(subjects))
+	metrics := make([]*introspect.Metrics, len(subjects))
 	if slices.ContainsFunc(jobs, analysis.Job.NeedsPrePass) {
 		reqs := make([]analysis.Request, len(subjects))
 		for i, b := range subjects {
 			reqs[i] = cfg.request(b, insens)
 		}
-		if err := run(cfg, reqs, func(i int, res *analysis.Result) { firsts[i] = res }); err != nil {
+		if err := run(cfg, reqs, func(i int, res *analysis.Result) {
+			firsts[i] = res
+			if res.Main.Complete {
+				metrics[i] = introspect.Compute(res.Main)
+			}
+		}); err != nil {
 			return nil, err
 		}
 	}
@@ -168,7 +176,7 @@ func fleet(cfg Config, subjects []string, jobs []analysis.Job) ([]report.Row, er
 				}
 				req := cfg.request(b, job)
 				if pre && first != nil && first.Main.Complete {
-					req.First = first.Main
+					req.First, req.Metrics = first.Main, metrics[i]
 				}
 				reqs, at = append(reqs, req), append(at, k)
 			}

@@ -316,9 +316,12 @@ func (p *Program) InvoName(i InvoID) string { return p.Invos[i].Name }
 // found, or nil. Builder.Finish runs it automatically; it is exported so
 // that deserialized or hand-built programs can be checked too.
 func (p *Program) Validate() error {
-	checkVar := func(v VarID, where string) error {
+	// checkVar names the instruction by where, a format of the method
+	// name, and builds the message only for a var out of range, so a
+	// valid program allocates nothing here.
+	checkVar := func(v VarID, where, method string) error {
 		if v < 0 || int(v) >= len(p.Vars) {
-			return fmt.Errorf("ir: %s references invalid var %d", where, v)
+			return fmt.Errorf("ir: %s references invalid var %d", fmt.Sprintf(where, method), v)
 		}
 		return nil
 	}
@@ -328,12 +331,12 @@ func (p *Program) Validate() error {
 			return fmt.Errorf("ir: method %s has invalid owner", m.Name)
 		}
 		if !m.Static {
-			if err := checkVar(m.This, "method "+m.Name+" this"); err != nil {
+			if err := checkVar(m.This, "method %s this", m.Name); err != nil {
 				return err
 			}
 		}
 		for _, a := range m.Allocs {
-			if err := checkVar(a.Var, "alloc in "+m.Name); err != nil {
+			if err := checkVar(a.Var, "alloc in %s", m.Name); err != nil {
 				return err
 			}
 			if a.Heap < 0 || int(a.Heap) >= len(p.Heaps) {
@@ -344,18 +347,18 @@ func (p *Program) Validate() error {
 			}
 		}
 		for _, mv := range m.Moves {
-			if err := checkVar(mv.To, "move in "+m.Name); err != nil {
+			if err := checkVar(mv.To, "move in %s", m.Name); err != nil {
 				return err
 			}
-			if err := checkVar(mv.From, "move in "+m.Name); err != nil {
+			if err := checkVar(mv.From, "move in %s", m.Name); err != nil {
 				return err
 			}
 		}
 		for _, l := range m.Loads {
-			if err := checkVar(l.To, "load in "+m.Name); err != nil {
+			if err := checkVar(l.To, "load in %s", m.Name); err != nil {
 				return err
 			}
-			if err := checkVar(l.Base, "load in "+m.Name); err != nil {
+			if err := checkVar(l.Base, "load in %s", m.Name); err != nil {
 				return err
 			}
 			if l.Field < 0 || int(l.Field) >= len(p.Fields) {
@@ -363,10 +366,10 @@ func (p *Program) Validate() error {
 			}
 		}
 		for _, s := range m.Stores {
-			if err := checkVar(s.Base, "store in "+m.Name); err != nil {
+			if err := checkVar(s.Base, "store in %s", m.Name); err != nil {
 				return err
 			}
-			if err := checkVar(s.From, "store in "+m.Name); err != nil {
+			if err := checkVar(s.From, "store in %s", m.Name); err != nil {
 				return err
 			}
 			if s.Field < 0 || int(s.Field) >= len(p.Fields) {
@@ -382,7 +385,7 @@ func (p *Program) Validate() error {
 			}
 			switch c.Kind {
 			case Virtual:
-				if err := checkVar(c.Base, "vcall in "+m.Name); err != nil {
+				if err := checkVar(c.Base, "vcall in %s", m.Name); err != nil {
 					return err
 				}
 				if c.Sig < 0 || int(c.Sig) >= len(p.Sigs) {
@@ -394,7 +397,7 @@ func (p *Program) Validate() error {
 				}
 				tgt := &p.Methods[c.Target]
 				if !tgt.Static {
-					if err := checkVar(c.Base, "direct call in "+m.Name); err != nil {
+					if err := checkVar(c.Base, "direct call in %s", m.Name); err != nil {
 						return err
 					}
 				}
@@ -404,21 +407,21 @@ func (p *Program) Validate() error {
 				}
 			}
 			for _, a := range c.Args {
-				if err := checkVar(a, "call arg in "+m.Name); err != nil {
+				if err := checkVar(a, "call arg in %s", m.Name); err != nil {
 					return err
 				}
 			}
 			if c.Ret != None {
-				if err := checkVar(c.Ret, "call ret in "+m.Name); err != nil {
+				if err := checkVar(c.Ret, "call ret in %s", m.Name); err != nil {
 					return err
 				}
 			}
 		}
 		for _, c := range m.Casts {
-			if err := checkVar(c.To, "cast in "+m.Name); err != nil {
+			if err := checkVar(c.To, "cast in %s", m.Name); err != nil {
 				return err
 			}
-			if err := checkVar(c.From, "cast in "+m.Name); err != nil {
+			if err := checkVar(c.From, "cast in %s", m.Name); err != nil {
 				return err
 			}
 			if c.Type < 0 || int(c.Type) >= len(p.Types) {
@@ -426,15 +429,15 @@ func (p *Program) Validate() error {
 			}
 		}
 		for _, th := range m.Throws {
-			if err := checkVar(th.From, "throw in "+m.Name); err != nil {
+			if err := checkVar(th.From, "throw in %s", m.Name); err != nil {
 				return err
 			}
-			if err := checkVar(m.Exc, "exc var of "+m.Name); err != nil {
+			if err := checkVar(m.Exc, "exc var of %s", m.Name); err != nil {
 				return err
 			}
 		}
 		for _, ca := range m.Catches {
-			if err := checkVar(ca.Var, "catch in "+m.Name); err != nil {
+			if err := checkVar(ca.Var, "catch in %s", m.Name); err != nil {
 				return err
 			}
 			if ca.Type < 0 || int(ca.Type) >= len(p.Types) {

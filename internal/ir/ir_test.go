@@ -140,6 +140,68 @@ func TestValidateCatchesBadPrograms(t *testing.T) {
 	if _, err := b.Finish(); err == nil || !strings.Contains(err.Error(), "args") {
 		t.Errorf("expected arity error, got %v", err)
 	}
+
+	// One var out of range at each place Validate checks one, with the
+	// message it gives. Calls[0] is the virtual call, Calls[1] the
+	// direct call of an instance method.
+	const bad = 9999
+	for _, c := range []struct {
+		edit func(am, main *Method)
+		want string
+	}{
+		{func(am, _ *Method) { am.This = bad }, "method A.m this"},
+		{func(_, m *Method) { m.Allocs[0].Var = bad }, "alloc in Main.main"},
+		{func(_, m *Method) { m.Moves[0].To = bad }, "move in Main.main"},
+		{func(_, m *Method) { m.Moves[0].From = bad }, "move in Main.main"},
+		{func(_, m *Method) { m.Loads[0].To = bad }, "load in Main.main"},
+		{func(_, m *Method) { m.Loads[0].Base = bad }, "load in Main.main"},
+		{func(_, m *Method) { m.Stores[0].Base = bad }, "store in Main.main"},
+		{func(_, m *Method) { m.Stores[0].From = bad }, "store in Main.main"},
+		{func(_, m *Method) { m.Calls[0].Base = bad }, "vcall in Main.main"},
+		{func(_, m *Method) { m.Calls[1].Base = bad }, "direct call in Main.main"},
+		{func(_, m *Method) { m.Calls[1].Args[0] = bad }, "call arg in Main.main"},
+		{func(_, m *Method) { m.Calls[1].Ret = bad }, "call ret in Main.main"},
+		{func(_, m *Method) { m.Casts[0].To = bad }, "cast in Main.main"},
+		{func(_, m *Method) { m.Casts[0].From = bad }, "cast in Main.main"},
+		{func(_, m *Method) { m.Throws[0].From = bad }, "throw in Main.main"},
+		{func(_, m *Method) { m.Exc = bad }, "exc var of Main.main"},
+		{func(_, m *Method) { m.Catches[0].Var = bad }, "catch in Main.main"},
+	} {
+		prog, am, main := everyInstruction(t)
+		c.edit(&prog.Methods[am], &prog.Methods[main])
+		want := "ir: " + c.want + " references invalid var 9999"
+		if err := prog.Validate(); err == nil || err.Error() != want {
+			t.Errorf("Validate = %v, want %q", err, want)
+		}
+	}
+}
+
+// everyInstruction builds a valid program whose Main.main holds every
+// instruction kind that names a var, and the instance method A.m it
+// calls.
+func everyInstruction(t *testing.T) (prog *Program, am, main MethodID) {
+	t.Helper()
+	b := NewBuilder("every")
+	a := b.AddClass("A", None, nil)
+	f := b.AddField(a, "f")
+	m := b.AddMethod(a, "m", "m", 1, false)
+	mainB := b.AddStaticMethod(b.AddClass("Main", None, nil), "main", 0, true)
+	v, w, x, y, r := mainB.NewVar("v", a), mainB.NewVar("w", None), mainB.NewVar("x", None), mainB.NewVar("y", a), mainB.NewVar("r", None)
+	mainB.Alloc(v, a, "")
+	mainB.Move(w, v)
+	mainB.Load(x, v, f)
+	mainB.Store(v, f, w)
+	mainB.VCall(r, v, "m", w)
+	mainB.Call(r, m.ID(), v, w)
+	mainB.Cast(y, x, a)
+	mainB.Throw(v)
+	mainB.Catch(a, "e")
+	b.AddEntry(mainB.ID())
+	prog, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog, m.ID(), mainB.ID()
 }
 
 func TestAllocAbstractRejected(t *testing.T) {

@@ -120,3 +120,17 @@ func TestParseStringSuite(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateAllocatesNothing: Validate runs on every Finish, so on
+// every parsed program and every taint injection; a valid program
+// costs it no allocation.
+func TestValidateAllocatesNothing(t *testing.T) {
+	prog := suite.Profiles()["jython"].Build()
+	if n := testing.AllocsPerRun(3, func() {
+		if err := prog.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Validate allocates %v times per run on jython, want 0", n)
+	}
+}

@@ -3,10 +3,15 @@ package service
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"hash"
+	"math"
 	"strconv"
 	"sync"
 
+	"introspect/internal/bits"
+	"introspect/internal/introspect"
 	"introspect/internal/ir"
 	"introspect/internal/pta"
 )
@@ -38,6 +43,11 @@ type progID struct{ lang, name, source string }
 // budget the solver is deterministic, so "ran out of budget after
 // exactly N units" is as cacheable an outcome as success.
 func resultKey(progKey string, canonicalJob []byte, budget int64, provenance bool) string {
+	return hex.EncodeToString(keyHash(progKey, canonicalJob, budget, provenance).Sum(nil))
+}
+
+// keyHash is the SHA-256 state of a result key before it is summed.
+func keyHash(progKey string, canonicalJob []byte, budget int64, provenance bool) hash.Hash {
 	h := sha256.New()
 	h.Write([]byte(progKey))
 	h.Write([]byte{0})
@@ -46,13 +56,30 @@ func resultKey(progKey string, canonicalJob []byte, budget int64, provenance boo
 	h.Write([]byte(strconv.FormatInt(budget, 10)))
 	h.Write([]byte{0})
 	h.Write([]byte(strconv.FormatBool(provenance)))
+	return h
+}
+
+// outcomeKey content-addresses an introspective main pass: a result
+// key whose job has its thresholds cleared, crossed with the refinement
+// they selected. The thresholds reach the main pass only through that
+// refinement, so two jobs that select alike share the key. The sets are
+// hashed element by element, each ended by a value no element takes,
+// since equal bits.Sets may hold different words.
+func outcomeKey(progKey string, jobWithoutThresholds []byte, budget int64, provenance bool, ref *pta.Refinement) string {
+	h := keyHash(progKey, jobWithoutThresholds, budget, provenance)
+	var buf []byte
+	for _, set := range [...]*bits.Set{&ref.Heaps, &ref.Invos, &ref.Methods} {
+		set.ForEach(func(x int32) { buf = binary.LittleEndian.AppendUint32(buf, uint32(x)) })
+		buf = binary.LittleEndian.AppendUint32(buf, math.MaxUint32)
+	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // progEntry is one cached parse: the shared program pointer (or the
 // deterministic parse error) plus, once any request has computed one,
-// a complete context-insensitive result reused as later introspective
-// requests' pre-pass.
+// a complete context-insensitive result and its introspection metrics,
+// reused as later introspective requests' pre-pass and metrics.
 type progEntry struct {
 	key string // progKey of the entry's program, computed once
 	// readyCh closes when prog/err are populated; concurrent first
@@ -61,30 +88,40 @@ type progEntry struct {
 	prog    *ir.Program
 	err     error
 
-	mu    sync.Mutex
-	first *pta.Result
+	mu      sync.Mutex
+	first   *pta.Result
+	metrics *introspect.Metrics // of first
 }
 
 func (e *progEntry) ready() <-chan struct{} { return e.readyCh }
 
-// sharedFirst returns the entry's reusable insensitive pass, nil if
-// none has completed yet.
-func (e *progEntry) sharedFirst() *pta.Result {
+// sharedFirst returns the entry's reusable insensitive pass and its
+// metrics, nil if none has completed yet.
+func (e *progEntry) sharedFirst() (*pta.Result, *introspect.Metrics) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.first
+	return e.first, e.metrics
 }
 
-// offerFirst records a complete insensitive result for reuse. First
-// writer wins; the pre-pass is a pure function of the program, so any
-// complete candidate is as good as any other.
-func (e *progEntry) offerFirst(r *pta.Result) {
-	if r == nil || !r.Complete {
+// offerFirst records a complete insensitive result of the entry's own
+// program for reuse, with its metrics m, computing them if m is nil
+// (an insens run's main pass comes without). First writer wins; the
+// pre-pass is a pure function of the program, so any complete
+// candidate is as good as any other. A taint job's pre-pass solves an
+// instrumented copy, which no other job could take.
+func (e *progEntry) offerFirst(r *pta.Result, m *introspect.Metrics) {
+	if r == nil || !r.Complete || r.Prog != e.prog {
 		return
+	}
+	if first, _ := e.sharedFirst(); first != nil {
+		return
+	}
+	if m == nil {
+		m = introspect.Compute(r)
 	}
 	e.mu.Lock()
 	if e.first == nil {
-		e.first = r
+		e.first, e.metrics = r, m
 	}
 	e.mu.Unlock()
 }
@@ -127,7 +164,8 @@ func (c *progCache) load(req Request, key string, fn func() (*ir.Program, error)
 }
 
 // lru is a mutex-guarded least-recently-used map holding at most cap
-// entries: the memory result cache, and the index of the disk store.
+// entries: the memory result cache, the main-pass outcomes, and the
+// index of the disk store.
 type lru[V any] struct {
 	mu    sync.Mutex
 	cap   int

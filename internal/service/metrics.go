@@ -73,10 +73,11 @@ type MetricsSnapshot struct {
 		Corrupt uint64 `json:"corrupt"` // store files rejected by verify-on-read
 		Entries int    `json:"entries"`
 	} `json:"disk"`
-	Solves        uint64 `json:"solves"`          // completed solver runs
-	PrePassShared uint64 `json:"pre_pass_shared"` // introspective runs that reused a cached insensitive pass
-	Streams       uint64 `json:"streams"`
-	Rejected      struct {
+	Solves         uint64 `json:"solves"`           // completed solver runs
+	PrePassShared  uint64 `json:"pre_pass_shared"`  // introspective runs that reused a cached insensitive pass
+	MainPassShared uint64 `json:"main_pass_shared"` // introspective runs that reused a main pass of the same refinement
+	Streams        uint64 `json:"streams"`
+	Rejected       struct {
 		Invalid  uint64 `json:"invalid"`  // 400
 		Overload uint64 `json:"overload"` // admission rejections (429)
 	} `json:"rejected"`
@@ -157,13 +158,14 @@ func (m *Metrics) snapshot(workers, capacity, diskEntries int) MetricsSnapshot {
 }
 
 // observer records one solve into m: each stage's wall time and
-// allocation delta, the main pass's bytes per constraint node, and the
-// decision audit. Allocation deltas are process-wide TotalAlloc
+// allocation delta, the main pass's bytes per constraint node unless
+// reused reports that a recorded outcome stood in for its solve, and
+// the decision audit. Allocation deltas are process-wide TotalAlloc
 // differences, so concurrent solves inflate each other's numbers: they
 // size capacity, they do not attribute allocations exactly. Within a
 // run the pipeline serializes callbacks, but the mutex keeps the
 // sampler correct under any future overlap.
-func (m *Metrics) observer() analysis.Observer {
+func (m *Metrics) observer(reused func() bool) analysis.Observer {
 	var (
 		mu      sync.Mutex
 		atStart uint64 // TotalAlloc when the current stage began
@@ -192,7 +194,7 @@ func (m *Metrics) observer() analysis.Observer {
 			}
 			m.doc.Mem.StageAllocBytes[stage] += delta
 			m.doc.Mem.LastStageAllocBytes[stage] = delta
-			if stage == analysis.StageMainPass && st.Nodes > 0 {
+			if stage == analysis.StageMainPass && st.Nodes > 0 && !reused() {
 				m.doc.Mem.BytesPerNode = delta / uint64(st.Nodes)
 			}
 		},
@@ -246,6 +248,7 @@ func writePrometheus(w io.Writer, s MetricsSnapshot, build obs.Labels) error {
 		{"ptad_cache_dedup_total", "Requests coalesced onto an identical in-flight solve.", one(s.Cache.Dedup)},
 		{"ptad_solves_total", "Completed solver runs.", one(s.Solves)},
 		{"ptad_pre_pass_shared_total", "Introspective runs that reused a cached insensitive pre-pass.", one(s.PrePassShared)},
+		{"ptad_main_pass_shared_total", "Introspective runs that reused a main pass of the same refinement.", one(s.MainPassShared)},
 		{"ptad_rejected_invalid_total", "Requests rejected as invalid (HTTP 400).", one(s.Rejected.Invalid)},
 		{"ptad_rejected_overload_total", "Requests shed by admission control (HTTP 429).", one(s.Rejected.Overload)},
 		{"ptad_timeouts_total", "Requests whose deadline expired (HTTP 504).", one(s.Timeouts)},

@@ -23,6 +23,7 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	d.Cache.Dedup = 1
 	d.Solves = 4
 	d.PrePassShared = 1
+	d.MainPassShared = 3
 	d.Rejected.Invalid = 1
 	d.Rejected.Overload = 2
 	d.Timeouts = 1
@@ -88,6 +89,7 @@ func TestMetricsDistinctValues(t *testing.T) {
 	d.Cache.Dedup = 14
 	d.Solves = 15
 	d.PrePassShared = 16
+	d.MainPassShared = 42
 	d.Rejected.Invalid = 17
 	d.Rejected.Overload = 18
 	d.Timeouts = 19
@@ -148,6 +150,7 @@ const distinctJSON = `{
   },
   "solves": 15,
   "pre_pass_shared": 16,
+  "main_pass_shared": 42,
   "streams": 26,
   "rejected": {
     "invalid": 17,
@@ -231,6 +234,7 @@ ptad_cache_misses_total 13
 ptad_cache_dedup_total 14
 ptad_solves_total 15
 ptad_pre_pass_shared_total 16
+ptad_main_pass_shared_total 42
 ptad_rejected_invalid_total 17
 ptad_rejected_overload_total 18
 ptad_timeouts_total 19
@@ -267,6 +271,9 @@ ptad_solves_total 4
 # HELP ptad_pre_pass_shared_total Introspective runs that reused a cached insensitive pre-pass.
 # TYPE ptad_pre_pass_shared_total counter
 ptad_pre_pass_shared_total 1
+# HELP ptad_main_pass_shared_total Introspective runs that reused a main pass of the same refinement.
+# TYPE ptad_main_pass_shared_total counter
+ptad_main_pass_shared_total 3
 # HELP ptad_rejected_invalid_total Requests rejected as invalid (HTTP 400).
 # TYPE ptad_rejected_invalid_total counter
 ptad_rejected_invalid_total 1

@@ -26,7 +26,11 @@
 // (analysis.Request.First): after an "insens" request for a program, a
 // "2objH-IntroA" request for the same source skips its pre-pass solve
 // entirely. This is sound because the pre-pass is a pure function of
-// the program — see DESIGN.md for the argument.
+// the program — see DESIGN.md for the argument. Likewise an
+// introspective request whose thresholds select the refinement of an
+// earlier solve reuses that solve's main pass: the thresholds reach
+// the main pass only through the refinement, so outcomes are kept by
+// it (analysis.Request.MainPass).
 //
 // # Admission
 //
@@ -69,8 +73,9 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline caps request deadlines. Default 5m.
 	MaxDeadline time.Duration
-	// CacheEntries is the result LRU's capacity. Default 256; negative
-	// disables result caching (program caching stays on).
+	// CacheEntries is the capacity of each of the two LRUs: the
+	// results, and the introspective main-pass outcomes they share.
+	// Default 256; negative disables both (program caching stays on).
 	CacheEntries int
 	// DefaultBudget is the per-pass work budget applied when a request
 	// names none; 0 means pta.DefaultBudget.
@@ -161,9 +166,10 @@ type Service struct {
 	cfg     Config
 	metrics *Metrics
 
-	progs   progCache
-	results *lru[*analysis.RunJSON]
-	store   *diskStore // durable tier, nil without Config.CacheDir
+	progs    progCache
+	results  *lru[*analysis.RunJSON]
+	outcomes *lru[*analysis.MainOutcome] // by outcomeKey
+	store    *diskStore                  // durable tier, nil without Config.CacheDir
 
 	mu        sync.Mutex
 	flights   map[string]*flight // by result key; see flights.go
@@ -178,11 +184,12 @@ type Service struct {
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:     cfg,
-		metrics: newMetrics(),
-		results: newLRU[*analysis.RunJSON](cfg.CacheEntries),
-		flights: make(map[string]*flight),
-		slots:   make(chan struct{}, cfg.Workers),
+		cfg:      cfg,
+		metrics:  newMetrics(),
+		results:  newLRU[*analysis.RunJSON](cfg.CacheEntries),
+		outcomes: newLRU[*analysis.MainOutcome](cfg.CacheEntries),
+		flights:  make(map[string]*flight),
+		slots:    make(chan struct{}, cfg.Workers),
 	}
 	if cfg.CacheDir != "" && cfg.DiskEntries > 0 {
 		store, err := openDiskStore(cfg.CacheDir, cfg.DiskEntries)
@@ -433,7 +440,9 @@ func (s *Service) solve(ctx context.Context, fl *flight, req Request, pk, key st
 	// Heartbeats (GET /v1/flights) and memory telemetry always; trace
 	// spans when the service has a tracer. One track per solve keeps
 	// concurrent requests on separate lanes in the viewer.
-	observer := analysis.Observers(fl.observer(), s.metrics.observer())
+	var okey string // the main pass's outcome key, once selection chose
+	reused := false // whether that outcome stood in for the solve
+	observer := analysis.Observers(fl.observer(), s.metrics.observer(func() bool { return reused }))
 	if s.cfg.Tracer != nil {
 		track := s.cfg.Tracer.NewTrack(fmt.Sprintf("#%d %s %s", fl.id, req.Name, req.Job.Spec))
 		observer = analysis.Observers(observer, analysis.TrackObserver(track))
@@ -468,11 +477,32 @@ func (s *Service) solve(ctx context.Context, fl *flight, req Request, pk, key st
 	// reconstructible. Taint jobs never share: their pre-pass solves
 	// the taint-instrumented program, not the program the cached
 	// insensitive result was solved over.
-	if first := entry.sharedFirst(); first != nil && req.Job.Taint == nil && req.Job.NeedsPrePass() &&
+	introspective := req.Job.NeedsPrePass()
+	if first, metrics := entry.sharedFirst(); first != nil && req.Job.Taint == nil && introspective &&
 		(req.Budget < 0 || first.Work <= req.Budget) &&
 		(!req.Provenance || first.ProvenanceEnabled()) {
-		areq.First = first
+		areq.First, areq.Metrics = first, metrics
 		s.metrics.add(&s.metrics.doc.PrePassShared)
+	}
+	// Main-pass sharing: the thresholds reach the main pass only through
+	// the refinement they select, so an outcome recorded under the same
+	// refinement, and otherwise the same key, stands in for the solve.
+	if introspective {
+		job := req.Job
+		job.Thresholds = nil
+		canon, err := job.Canonical()
+		if err != nil {
+			return nil, errf(CodeBadRequest, "encoding job: %v", err)
+		}
+		areq.MainPass = func(ref *pta.Refinement) *analysis.MainOutcome {
+			okey = outcomeKey(pk, canon, req.Budget, req.Provenance, ref)
+			out, ok := s.outcomes.get(okey)
+			if ok {
+				reused = true
+				s.metrics.add(&s.metrics.doc.MainPassShared)
+			}
+			return out
+		}
 	}
 
 	res, runErr := analysis.Run(ctx, areq)
@@ -503,9 +533,16 @@ func (s *Service) solve(ctx context.Context, fl *flight, req Request, pk, key st
 	// same program: an introspective run's pre-pass, or an "insens"
 	// run's main pass — both are the same pure function of the program.
 	if res.First != nil {
-		entry.offerFirst(res.First)
+		entry.offerFirst(res.First, res.Metrics)
 	} else if res.Main != nil && res.Main.Complete && res.Main.Analysis == "insens" {
-		entry.offerFirst(res.Main)
+		entry.offerFirst(res.Main, nil)
+	}
+	// Record the main pass, complete or capped, for later jobs that
+	// select alike. A deadline or cancellation returned above.
+	if okey != "" && !reused {
+		if out := res.MainOutcome(); out != nil {
+			s.outcomes.put(okey, out)
+		}
 	}
 
 	resp := analysis.NewRunJSON(res)

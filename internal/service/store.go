@@ -163,10 +163,7 @@ func (s *diskStore) put(key string, doc *analysis.RunJSON) error {
 	if err != nil {
 		return err
 	}
-	b, err := json.Marshal(storeFile{Schema: storeSchema, Key: key, Sum: docSum(db), Doc: db})
-	if err != nil {
-		return err
-	}
+	b := storeBytes(key, db)
 	path := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
@@ -190,6 +187,22 @@ func (s *diskStore) put(key string, doc *analysis.RunJSON) error {
 	}
 	s.unlink(s.index.put(key, struct{}{}))
 	return nil
+}
+
+// storeBytes is json.Marshal of the storeFile wrapping doc, the
+// output of json.Marshal, written around doc's bytes: Marshal would
+// scan and compact them again, and leave them as they are, since they
+// are already compact and escaped. The schema is a constant and key and
+// sum are hex, so none of the three strings needs escaping.
+func storeBytes(key string, doc []byte) []byte {
+	b := make([]byte, 0, len(doc)+len(key)+2*sha256.Size+64)
+	b = append(b, `{"schema":"`+storeSchema+`","key":"`...)
+	b = append(b, key...)
+	b = append(b, `","sum":"`...)
+	b = append(b, docSum(doc)...)
+	b = append(b, `","doc":`...)
+	b = append(b, doc...)
+	return append(b, '}')
 }
 
 // touch records a hit: front of the LRU order, and a best-effort mtime

@@ -38,6 +38,10 @@ go test -run '^$' -bench SolveCapped -benchtime 1x ./internal/pta
 # the nine suite programs: its time and allocations per hit, and the
 # retained-MiB of the warmed service.
 go test -run '^$' -bench AnalyzeHit -benchtime 20x ./internal/service
+# A jython 2objH-IntroA threshold-sweep miss whose refinement is already
+# solved, so it reuses the recorded main pass: its time and allocations
+# per miss.
+go test -run '^$' -bench AnalyzeSweep -benchtime 10x ./internal/service
 
 # Trace-export smoke test (same commands as `make trace-smoke`): solve
 # with tracing on, then validate the Chrome trace file end to end.
@@ -96,6 +100,18 @@ for i in $(seq 1 50); do
     sleep 0.1
 done
 grep -q "\"id\":\"$RID\"" /tmp/ptad.$$.err
+
+# Main-pass sharing smoke: two JSON requests for holder.mj whose
+# thresholds select alike (on so small a program both refine every
+# site), under a deep spec no request above used. Both are misses, and
+# the second reuses the first's main pass.
+HOLDER=$(sed -e 's/\\/\\\\/g' -e 's/"/\\"/g' examples/ptalint/holder.mj | awk '{printf "%s\\n", $0}')
+for K in 1000 2000; do
+    curl -sS -H 'Content-Type: application/json' \
+        --data-binary "{\"name\":\"holder\",\"source\":\"$HOLDER\",\"job\":{\"spec\":\"2typeH-IntroA\",\"thresholds\":{\"k\":$K,\"l\":$K,\"m\":$K}}}" \
+        "$URL/v1/analyze" | grep -q '"cache":"miss"'
+done
+curl -sS "$URL/metrics?format=prometheus" | grep -q '^ptad_main_pass_shared_total 1$'
 
 # The smokes below boot additional daemons; one trap cleans up all of
 # them plus every scratch file.
