@@ -29,14 +29,16 @@ build:
 test:
 	$(GO) test ./...
 
-# The solver, the pipeline, the cut-shortcut strategy it loads, the
-# checkers that consume their results, the analysis service, and the
-# tracing layer have the interesting concurrency surface (context
-# cancellation mid-worklist, shared results across runs, single-flight
-# dedup and admission under load, observers shared across fleet
-# workers); run their tests under the race detector.
+# The solver, the pipeline, the cut-shortcut detector it runs, the
+# checkers that consume their results, the analysis service, the
+# tracing layer, and the program builder and taint injection (which
+# extend one shared program from several goroutines) have the
+# interesting concurrency surface (context cancellation mid-worklist,
+# shared results across runs, single-flight dedup and admission under
+# load, observers shared across fleet workers); run their tests under
+# the race detector.
 race:
-	$(GO) test -race ./internal/analysis ./internal/pta ./internal/cutshortcut ./internal/checkers ./internal/service ./internal/obs
+	$(GO) test -race ./internal/analysis ./internal/pta ./internal/cutshortcut ./internal/checkers ./internal/service ./internal/obs ./internal/ir ./internal/taint
 
 # bench records the benchmark ledger, scripts/bench.sh: perfbench's
 # three workloads for three seeds, traced and untraced, written as

@@ -39,7 +39,6 @@ import (
 
 	"introspect/internal/analysis"
 	"introspect/internal/checkers"
-	"introspect/internal/pta"
 	"introspect/internal/taint"
 	ptav1 "introspect/pta/v1"
 )
@@ -110,13 +109,15 @@ func run(args []string, out io.Writer) error {
 
 	tgt := &checkers.Target{Prog: res.Prog, Res: res.Main, Baseline: res.First, Taint: res.TaintInfo}
 	if tgt.Baseline == nil && *baseline && res.Main.Analysis != "insens" {
-		b, err := pta.Analyze(ctx, res.Prog, "insens", pta.Options{Budget: *budget})
+		b, err := analysis.Run(ctx, analysis.Request{
+			Prog: res.Prog, Job: analysis.Job{Spec: "insens"}, Limits: analysis.Limits{Budget: *budget},
+		})
 		if err != nil {
 			// The baseline only feeds the conflation diff; a baseline that
 			// cannot finish just disables that checker.
 			fmt.Fprintln(os.Stderr, "ptalint: warning: skipping conflation baseline:", err)
 		} else {
-			tgt.Baseline = b
+			tgt.Baseline = b.Main
 		}
 	}
 

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -56,28 +57,28 @@ type Request struct {
 	// receives on the wire and what internal/service hashes into its
 	// cache key.
 	Job Job
-	// First, if non-nil, is a completed context-insensitive result to
-	// inject as the introspective pipeline's pre-pass instead of
-	// solving one. The pre-pass is a pure function of the program, so
-	// callers running many introspective variants of one benchmark
-	// (the figure fleets) share a single insensitive solve this way
-	// without changing any output. Only valid for pipelines that have
-	// a pre-pass stage; the result must be complete and for the same
-	// program the request resolves to.
-	First *pta.Result
-	// Metrics, if non-nil, are the introspection metrics of First
-	// (introspect.Compute), injected with it so a caller sharing one
-	// pre-pass also computes its metrics once. Requires First.
+	// First and Metrics offer a context-insensitive pass solved
+	// before, and its introspection metrics, to stand in for the
+	// pre-pass and metrics stages: a caller keeps what Result.Offer
+	// returns and offers it to every later run over the same program.
+	// The pre-pass stage takes the offer only when it is a complete
+	// insensitive pass over the program the stage would solve (so never
+	// for a taint job), its Work fits Limits.Budget, and it recorded
+	// provenance if the run records it. Otherwise the stage solves as
+	// if no offer were made, so an offer never changes a run's result
+	// and never fails it. Pipelines without a pre-pass ignore it.
+	First   *pta.Result
 	Metrics *introspect.Metrics
-	// MainPass, if non-nil, is asked by the introspective main-pass
-	// stage, with the refinement the selection chose, for an outcome it
-	// already has. The main pass depends on the job only through that
-	// refinement, so a caller that keys outcomes by it (with the
-	// program, the rest of the job, the budget and provenance) can skip
-	// the solve for thresholds that select alike. A non-nil outcome
-	// replaces the solve: Result.Main stays nil, the stage reports the
-	// outcome's Stats (a capped one as the same *BudgetExceededError),
-	// and the report stage takes its Precision. Nil means solve.
+	// MainPass, if non-nil, is asked by the main-pass stage of a
+	// pipeline with a pre-pass, with the refinement the selection
+	// chose, for an outcome it already has. The main pass depends on
+	// the job only through that refinement, so a caller that keys
+	// outcomes by it (with the program, the rest of the job, the budget
+	// and provenance) can skip the solve for thresholds that select
+	// alike. A non-nil outcome replaces the solve: Result.Main stays
+	// nil, the stage reports the outcome's Stats (a capped one as the
+	// same *BudgetExceededError), and the report stage takes its
+	// Precision. Nil means solve.
 	MainPass func(*pta.Refinement) *MainOutcome
 
 	// Audit enables the introspection decision audit: the selection
@@ -164,6 +165,26 @@ func (r *Result) MainOutcome() *MainOutcome {
 		}
 	}
 	return nil
+}
+
+// Offer returns the context-insensitive pass this run can offer later
+// runs over the same program, as Request.First and Request.Metrics:
+// its pre-pass, or the main pass of an insens run, with the pass's
+// metrics, which it computes when the run has none (an insens run).
+// It returns nil for a pass that did not complete, and for every taint
+// run, whose passes solve an instrumented copy of the program.
+func (r *Result) Offer() (*pta.Result, *introspect.Metrics) {
+	first, m := r.First, r.Metrics
+	if first == nil && r.Main != nil && r.Main.Analysis == "insens" {
+		first, m = r.Main, nil
+	}
+	if first == nil || !first.Complete || r.TaintInfo != nil {
+		return nil, nil
+	}
+	if m == nil {
+		m = introspect.Compute(first)
+	}
+	return first, m
 }
 
 // Pipeline is a named sequence of stages over a shared Result. Build
@@ -271,37 +292,50 @@ func taintStage(spec *taint.Spec) stage {
 	}}
 }
 
+// prePassStage solves the context-insensitive pre-pass, or takes the
+// offered Request.First (and Metrics) in its place when the offer
+// applies. A taken offer keeps the stage in the pipeline, so observers
+// still see it start and finish, and its Stats carry the offered
+// pass's counters; Wall is the lookup alone.
 func prePassStage() stage {
 	return stage{name: StagePrePass, run: func(ctx context.Context, p *Pipeline, res *Result) (Stats, error) {
+		if p.req.takesOffer(res.Prog) {
+			res.First, res.Metrics = p.req.First, p.req.Metrics
+			return collectStats(res.First), nil
+		}
 		tab := pta.NewTable()
 		pol := pta.NewPolicy(pta.Spec{Flavor: pta.Insensitive}, res.Prog, tab)
-		r, st, err := solvePass(ctx, StagePrePass, p.req, res.Prog, pol, tab)
+		r, st, err := solvePass(ctx, StagePrePass, p.req, res.Prog, pol, nil, tab)
 		res.First = r
 		return st, err
 	}}
 }
 
-// injectPrePassStage replaces the pre-pass solve with a result the
-// caller already has. It keeps the stage in the pipeline (observers
-// still see it start and finish) but does no solver work — its Stats
-// carry the injected pass's counters; Wall reflects only the injection
-// itself.
-func injectPrePassStage(first *pta.Result) stage {
-	return stage{name: StagePrePass, run: func(ctx context.Context, p *Pipeline, res *Result) (Stats, error) {
-		if !first.Complete {
-			return Stats{}, fmt.Errorf("analysis: stage %s: injected pre-pass result is incomplete", StagePrePass)
-		}
-		if first.Prog != res.Prog {
-			return Stats{}, fmt.Errorf("analysis: stage %s: injected pre-pass result is for a different program", StagePrePass)
-		}
-		res.First = first
-		return collectStats(first), nil
-	}}
+// takesOffer reports whether the offered Request.First stands in for
+// a pre-pass over prog, the program the stage would solve. It does
+// when the offer is a complete context-insensitive pass over prog
+// itself, so never over a taint job's instrumented copy; its Work fits
+// the run's budget, so a fresh solve would have completed too (the
+// solver stops only once its work exceeds the budget); and it recorded
+// provenance if the run records it, so the run's witnesses stay
+// reconstructible.
+//
+// That is sound because the pre-pass is a pure function of the
+// program: the solver is deterministic, takes no input from the job
+// but the budget and the provenance flag, and the budget changes only
+// whether it completes. So a taken offer equals the pass the run would
+// have solved, fact for fact and counter for counter, and every later
+// stage sees the same input. Only the stage's Wall differs.
+func (req *Request) takesOffer(prog *ir.Program) bool {
+	f, budget := req.First, cmp.Or(req.Limits.Budget, pta.DefaultBudget)
+	return f != nil && f.Complete && f.Prog == prog && f.Analysis == "insens" &&
+		(budget < 0 || f.Work <= budget) && (!req.Provenance || f.ProvenanceEnabled())
 }
 
+// metricsStage computes the introspection metrics over the pre-pass,
+// unless the pre-pass took an offer that brought them.
 func metricsStage() stage {
 	return stage{name: StageMetrics, run: func(ctx context.Context, p *Pipeline, res *Result) (Stats, error) {
-		res.Metrics = p.req.Metrics
 		if res.Metrics == nil {
 			res.Metrics = introspect.Compute(res.First)
 		}
@@ -335,36 +369,33 @@ func syntacticStage(opts introspect.SyntacticOptions) stage {
 	}}
 }
 
+// mainPassPlain solves a single-pass analysis. The cut-shortcut spec
+// is the only one that edits the constraint graph: its policy builds
+// no contexts, and the edit set cutshortcut.Detect finds goes with it.
 func mainPassPlain(spec pta.Spec) stage {
 	return stage{name: StageMainPass, run: func(ctx context.Context, p *Pipeline, res *Result) (Stats, error) {
+		var edits *pta.Edits
+		if spec.Flavor == pta.CutShortcut {
+			edits = cutshortcut.Detect(res.Prog)
+		}
 		tab := pta.NewTable()
-		strat := strategyFor(spec, res.Prog, tab)
-		r, st, err := solvePass(ctx, StageMainPass, p.req, res.Prog, strat, tab)
+		r, st, err := solvePass(ctx, StageMainPass, p.req, res.Prog, pta.NewPolicy(spec, res.Prog, tab), edits, tab)
 		res.Main = r
 		res.Analysis = r.Analysis
 		return st, err
 	}}
 }
 
-// strategyFor builds the solve strategy for a resolved spec: the
-// cut-shortcut family gets its detected edit set attached, every pure
-// context family is the policy alone. This is the only place the
-// analysis layer distinguishes graph-editing families — new ones plug
-// in here and nowhere else.
-func strategyFor(spec pta.Spec, prog *ir.Program, tab *pta.Table) pta.Strategy {
-	if spec.Flavor == pta.CutShortcut {
-		return cutshortcut.New(prog, tab)
-	}
-	return pta.NewPolicy(spec, prog, tab)
-}
-
-func mainPassIntrospective(deep pta.Spec) stage {
+// mainPassIntrospective solves the refined second pass, first asking
+// reuse (Request.MainPass, nil in the syntactic baseline) for a
+// recorded outcome of the same refinement.
+func mainPassIntrospective(deep pta.Spec, reuse func(*pta.Refinement) *MainOutcome) stage {
 	return stage{name: StageMainPass, run: func(ctx context.Context, p *Pipeline, res *Result) (Stats, error) {
 		// Per the paper, the second pass runs identical analysis code;
 		// only the (complement-form) SITETOREFINE / OBJECTTOREFINE
 		// inputs — res.Selection.Refinement — differ.
-		if p.req.MainPass != nil {
-			if out := p.req.MainPass(res.Selection.Refinement); out != nil {
+		if reuse != nil {
+			if out := reuse(res.Selection.Refinement); out != nil {
 				return reuseMainPass(out, res)
 			}
 		}
@@ -373,7 +404,7 @@ func mainPassIntrospective(deep pta.Spec) stage {
 			pta.NewPolicy(deep, res.Prog, tab),
 			pta.NewPolicy(pta.Spec{Flavor: pta.Insensitive}, res.Prog, tab),
 			res.Selection.Refinement, p.Name)
-		r, st, err := solvePass(ctx, StageMainPass, p.req, res.Prog, pol, tab)
+		r, st, err := solvePass(ctx, StageMainPass, p.req, res.Prog, pol, nil, tab)
 		res.Main = r
 		return st, err
 	}}
@@ -381,7 +412,7 @@ func mainPassIntrospective(deep pta.Spec) stage {
 
 // reuseMainPass stands a recorded outcome in for the main-pass solve:
 // the same Stats, the same error for a capped pass, and the Precision
-// the report stage would measure. As with an injected pre-pass, the
+// the report stage would measure. As with a taken pre-pass offer, the
 // stage's Wall is the lookup; Precision.ElapsedMS stays the solve's.
 func reuseMainPass(out *MainOutcome, res *Result) (Stats, error) {
 	pr := out.Precision
@@ -402,7 +433,7 @@ func reuseMainPass(out *MainOutcome, res *Result) (Stats, error) {
 func reportStage() stage {
 	return stage{name: StageReport, run: func(ctx context.Context, p *Pipeline, res *Result) (Stats, error) {
 		if res.Precision == nil { // else a reused main pass brought it
-			pr := report.Measure(res.Main)
+			pr := report.Measure(res.Main, res.TaintInfo)
 			res.Precision = &pr
 		}
 		return Stats{}, nil
@@ -412,14 +443,14 @@ func reportStage() stage {
 // solvePass runs one solver pass with the request's limits and
 // observer wiring, and converts solver errors into the pipeline's
 // typed errors.
-func solvePass(ctx context.Context, stageName string, req *Request, prog *ir.Program, strat pta.Strategy, tab *pta.Table) (*pta.Result, Stats, error) {
+func solvePass(ctx context.Context, stageName string, req *Request, prog *ir.Program, pol pta.Policy, edits *pta.Edits, tab *pta.Table) (*pta.Result, Stats, error) {
 	opts := req.Limits.opts()
 	opts.Provenance = req.Provenance
 	if obs := req.Observer; obs != nil {
 		opts.Snapshot = func(sn pta.Snapshot) { obs.SolveSnapshot(stageName, sn) }
 		opts.SnapshotEvery = req.SnapshotEvery
 	}
-	r, err := pta.Solve(ctx, prog, strat, tab, opts)
+	r, err := pta.Solve(ctx, prog, pol, edits, tab, opts)
 	st := collectStats(r)
 	if err != nil {
 		if errors.Is(err, pta.ErrBudgetExceeded) {

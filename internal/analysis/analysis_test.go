@@ -12,8 +12,10 @@ import (
 
 	"introspect/internal/analysis"
 	"introspect/internal/introspect"
+	"introspect/internal/ir"
 	"introspect/internal/pta"
 	"introspect/internal/randprog"
+	"introspect/internal/taint"
 )
 
 // TestSinglePassEquivalence pins that a degenerate (single-pass)
@@ -142,29 +144,88 @@ func TestPrePassBudgetPropagates(t *testing.T) {
 // TestInjectedPrePassReused pins Request.First and Request.Metrics: a
 // completed insensitive result for the same program, and its metrics,
 // become the pipeline's pre-pass and metrics as is, instead of being
-// computed again. Metrics without First is rejected.
+// computed again, and the run's document equals an unoffered run's.
+// The offer applies at a budget its work just fits, where the main
+// pass caps, and with provenance when it recorded it.
 func TestInjectedPrePassReused(t *testing.T) {
 	prog := randprog.Generate(7, randprog.Default())
-	first, err := pta.Analyze(context.Background(), prog, "insens", pta.Options{Budget: -1})
-	if err != nil {
-		t.Fatal(err)
+	for _, prov := range []bool{false, true} {
+		first, err := pta.Analyze(context.Background(), prog, "insens", pta.Options{Budget: -1, Provenance: prov})
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics := introspect.Compute(first)
+		req := analysis.Request{
+			Prog: prog, Job: analysis.Job{Spec: "2objH-IntroA"},
+			Limits: analysis.Limits{Budget: first.Work}, Provenance: prov,
+		}
+		var be *analysis.BudgetExceededError
+		cold, err := analysis.Run(context.Background(), req)
+		if !errors.As(err, &be) || be.Stage != analysis.StageMainPass {
+			t.Fatalf("want the main pass capped, got %v", err)
+		}
+		req.First, req.Metrics = first, metrics
+		res, err := analysis.Run(context.Background(), req)
+		if !errors.As(err, &be) || be.Stage != analysis.StageMainPass {
+			t.Errorf("provenance %v: want the main pass capped, got %v", prov, err)
+		}
+		if res.First != first || res.Metrics != metrics {
+			t.Errorf("provenance %v: the offered pre-pass or its metrics were not taken", prov)
+		}
+		if c, r := scrubWall(t, analysis.NewRunJSON(cold)), scrubWall(t, analysis.NewRunJSON(res)); c != r {
+			t.Errorf("provenance %v: a taken offer changed the document:\ncold  %s\ntaken %s", prov, c, r)
+		}
 	}
-	metrics := introspect.Compute(first)
-	req := analysis.Request{
-		Prog: prog, First: first, Metrics: metrics,
-		Job:    analysis.Job{Spec: "2objH-IntroA"},
-		Limits: analysis.Limits{Budget: -1},
+}
+
+// TestOfferSolvedPast pins when an offered pre-pass does not apply: the
+// run solves its own, with no error from the offer, and its document
+// and error equal an unoffered run's.
+func TestOfferSolvedPast(t *testing.T) {
+	ctx := context.Background()
+	prog := randprog.Generate(7, randprog.Default())
+	kern, _ := taint.Kernel()
+	solve := func(p *ir.Program, spec string, budget int64) *pta.Result {
+		r, _ := pta.Analyze(ctx, p, spec, pta.Options{Budget: budget})
+		return r
 	}
-	res, err := analysis.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
+	insens := solve(prog, "insens", -1)
+	intro := func(p *ir.Program, budget int64) analysis.Request {
+		return analysis.Request{Prog: p, Job: analysis.Job{Spec: "2objH-IntroA"}, Limits: analysis.Limits{Budget: budget}}
 	}
-	if res.First != first || res.Metrics != metrics {
-		t.Error("the injected pre-pass result or its metrics were not reused")
-	}
-	req.First = nil
-	if _, err := analysis.Run(context.Background(), req); err == nil || !strings.Contains(err.Error(), "Request.Metrics requires Request.First") {
-		t.Errorf("Metrics without First: err = %v", err)
+	withProv, withTaint := intro(prog, -1), intro(kern, -1)
+	withProv.Provenance = true
+	withTaint.Job.Taint = taint.KernelSpec()
+	for _, c := range []struct {
+		name  string
+		first *pta.Result
+		req   analysis.Request
+	}{
+		{"incomplete", solve(prog, "insens", 3), intro(prog, -1)},
+		{"over the budget", insens, intro(prog, insens.Work-1)},
+		{"without provenance", insens, withProv},
+		{"another program", solve(randprog.Generate(8, randprog.Default()), "insens", -1), intro(prog, -1)},
+		{"taint job", solve(kern, "insens", -1), withTaint},
+		{"no pre-pass", insens, analysis.Request{Prog: prog, Job: analysis.Job{Spec: "2objH"}, Limits: analysis.Limits{Budget: -1}}},
+		{"not insensitive", solve(prog, "2objH", -1), intro(prog, -1)},
+		{"metrics alone", nil, intro(prog, -1)},
+	} {
+		cold, cerr := analysis.Run(ctx, c.req)
+		c.req.First, c.req.Metrics = c.first, introspect.Compute(insens)
+		res, err := analysis.Run(ctx, c.req)
+		if res == nil {
+			t.Fatalf("%s: no result (err %v)", c.name, err)
+		}
+		if res.First != nil && res.First == c.first || res.Metrics == c.req.Metrics {
+			t.Errorf("%s: the offer was taken", c.name)
+		}
+		var cbe, be *analysis.BudgetExceededError
+		if (cerr == nil) != (err == nil) || errors.As(cerr, &cbe) != errors.As(err, &be) || (be != nil && be.Stage != cbe.Stage) {
+			t.Errorf("%s: err %v, unoffered err %v", c.name, err, cerr)
+		}
+		if cd, d := scrubWall(t, analysis.NewRunJSON(cold)), scrubWall(t, analysis.NewRunJSON(res)); cd != d {
+			t.Errorf("%s: the offer changed the document:\nunoffered %s\noffered   %s", c.name, cd, d)
+		}
 	}
 }
 

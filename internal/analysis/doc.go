@@ -52,6 +52,15 @@
 // pass still gets its report stage — the paper's "did not terminate"
 // rows render from exactly that).
 //
+// # Sharing passes
+//
+// A caller running many jobs over one program can offer each run a
+// context-insensitive pass solved before (Request.First, kept from
+// Result.Offer) and main-pass outcomes recorded before
+// (Request.MainPass). This package alone decides whether an offer
+// applies; one that does not is solved past, so an offer never changes
+// a result.
+//
 // # Observability
 //
 // Every stage produces a Stats record (wall time, derivations,
@@ -59,28 +68,4 @@
 // created, peak points-to set size, ...) collected on the Result; an
 // optional Observer receives stage start/finish callbacks and sampled
 // solver snapshots. Stats marshals to stable JSON (cmd/pta -json).
-//
-// # Migration from the deleted direct entry points
-//
-//	old                                           new
-//	----------------------------------------------------------------------
-//	pta.Analyze(prog, "2objH", opts)              Run(ctx, Request{Prog: prog,
-//	                                                  Job: Job{Spec: "2objH"},
-//	                                                  Limits: Limits{Budget: opts.Budget}})
-//	pta.Solve(prog, pol, tab, opts)               still available to the engine layer itself,
-//	                                              now pta.Solve(ctx, prog, pol, tab, opts)
-//	introspect.Run(prog, "2objH", h, opts)        Run(ctx, Request{Prog: prog,
-//	                                                  Job: Job{Spec: "2objH-IntroA"}, ...})
-//	                                              or, for A with thresholds k, l, m,
-//	                                                  Job{Spec: "2objH-IntroA",
-//	                                                  Thresholds: &Thresholds{K: k, L: l, M: m}}
-//	  .First / .Selection / .Second               Result.First / Result.Selection / Result.Main
-//	introspect.RunSyntactic(prog, deep, so, o)    Run(ctx, Request{Prog: prog,
-//	                                                  Job: Job{Spec: deep, Syntactic: &so}, ...})
-//	pta.Options{Budget: b, Deadline: d}           Limits{Budget: b} + context.WithTimeout(ctx, d)
-//	res.TimedOut                                  errors.As(err, &*BudgetExceededError) /
-//	                                              !res.Main.Complete
-//
-// The old "insensitive pass exhausted its budget" string error became
-// the typed *BudgetExceededError with Result.First still populated.
 package analysis

@@ -46,9 +46,9 @@ type Job struct {
 	// plain data and part of the canonical encoding: two jobs differing
 	// only in taint configuration are different cache entries, because
 	// they analyze different (derived) programs. Malformed specs are
-	// rejected by Validate with an *InvalidTaintError. Incompatible
-	// with Request.First: an injected pre-pass was solved over the
-	// uninstrumented program.
+	// rejected by Validate with an *InvalidTaintError. The pre-pass of
+	// a taint job never takes an offered Request.First, which was
+	// solved over another program than the instrumented copy.
 	Taint *taint.Spec `json:"taint,omitempty"`
 }
 
@@ -105,9 +105,9 @@ func or(v, def int) int {
 }
 
 // NeedsPrePass reports whether the job's pipeline includes a
-// context-insensitive pre-pass stage — i.e. whether Request.First
-// injection applies to it. False for single-pass jobs, syntactic
-// baselines, and jobs that do not resolve at all.
+// context-insensitive pre-pass stage, the one stage an offered
+// Request.First can stand in for. False for single-pass jobs,
+// syntactic baselines, and jobs that do not resolve at all.
 func (j Job) NeedsPrePass() bool {
 	_, h, _, err := resolveJob(j)
 	return err == nil && h != nil

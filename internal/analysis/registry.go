@@ -95,19 +95,6 @@ func NewPipeline(req *Request) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	if req.Metrics != nil && req.First == nil {
-		return nil, errors.New("analysis: Request.Metrics requires Request.First (they are injected together)")
-	}
-	if req.First != nil && h == nil {
-		return nil, fmt.Errorf("analysis: Request.First requires a pipeline with a pre-pass stage, got %q", req.Job.Spec)
-	}
-	if req.First != nil && req.Job.Taint != nil {
-		// An injected pre-pass was solved over the uninstrumented
-		// program; the taint stage swaps the subject, so the pointer
-		// identity check in injectPrePassStage could never pass.
-		return nil, errors.New("analysis: Request.First is incompatible with Job.Taint (the pre-pass must solve the taint-instrumented program)")
-	}
-
 	p := &Pipeline{req: req, Name: ps.String()}
 	if req.Source != nil {
 		p.stages = append(p.stages, frontendStage(req.Source))
@@ -118,15 +105,10 @@ func NewPipeline(req *Request) (*Pipeline, error) {
 	switch {
 	case h != nil:
 		p.Name += "-" + h.Name
-		if req.First != nil {
-			p.stages = append(p.stages, injectPrePassStage(req.First))
-		} else {
-			p.stages = append(p.stages, prePassStage())
-		}
-		p.stages = append(p.stages, metricsStage(), selectionStage(h), mainPassIntrospective(ps))
+		p.stages = append(p.stages, prePassStage(), metricsStage(), selectionStage(h), mainPassIntrospective(ps, req.MainPass))
 	case syn != nil:
 		p.Name += "-syntactic"
-		p.stages = append(p.stages, syntacticStage(*syn), mainPassIntrospective(ps))
+		p.stages = append(p.stages, syntacticStage(*syn), mainPassIntrospective(ps, nil))
 	default:
 		p.stages = append(p.stages, mainPassPlain(ps))
 	}

@@ -5,6 +5,7 @@ import (
 
 	"introspect/internal/ir"
 	"introspect/internal/pta"
+	"introspect/internal/taint"
 )
 
 // CastMayFail reports whether cast c may fail at runtime under res:
@@ -21,30 +22,19 @@ import (
 //     fail; downcasts and casts to unrelated types fail when any
 //     incompatible object flows in.
 //
+// inj is the run's taint injection, nil for a run without one. Its
+// synthetic taint$ objects fail every cast by design (taint$ is outside
+// the Object hierarchy, and the sanitizer's injected `(Object) ret`
+// cast is what removes taint), so they never make a cast fail here.
+//
 // When the cast may fail, the lowest-numbered conflicting allocation
 // site is returned as the witness object.
-func CastMayFail(res *pta.Result, c ir.Cast) (ir.HeapID, bool) {
+func CastMayFail(res *pta.Result, inj *taint.Injection, c ir.Cast) (ir.HeapID, bool) {
 	prog := res.Prog
 	conflict := ir.HeapID(ir.None)
 	res.VarHeaps(c.From).ForEach(func(h int32) {
-		if conflict == ir.None && !prog.SubtypeOf(prog.HeapType(ir.HeapID(h)), c.Type) {
-			conflict = ir.HeapID(h)
-		}
-	})
-	return conflict, conflict != ir.None
-}
-
-// castMayFailReal is CastMayFail restricted to real program objects:
-// when the target carries a taint injection, synthetic taint$ heaps
-// are not admissible witnesses (see MayFailCastChecker.Check).
-func castMayFailReal(t *Target, c ir.Cast) (ir.HeapID, bool) {
-	prog := t.Prog
-	conflict := ir.HeapID(ir.None)
-	t.Res.VarHeaps(c.From).ForEach(func(h int32) {
-		if conflict != ir.None || prog.SubtypeOf(prog.HeapType(ir.HeapID(h)), c.Type) {
-			return
-		}
-		if t.Taint != nil && t.Taint.IsTaintHeap(ir.HeapID(h)) {
+		if conflict != ir.None || prog.SubtypeOf(prog.HeapType(ir.HeapID(h)), c.Type) ||
+			inj != nil && inj.IsTaintHeap(ir.HeapID(h)) {
 			return
 		}
 		conflict = ir.HeapID(h)
@@ -66,14 +56,9 @@ func (MayFailCastChecker) Desc() string {
 	return "reachable casts whose operand may hold an object incompatible with the target type"
 }
 
-// Check scans the reachable methods' casts.
-//
-// Under a taint run (Target.Taint non-nil) synthetic taint$ objects
-// are ignored as witnesses: taint$ is deliberately outside the Object
-// hierarchy, so it "fails" every cast — most visibly the sanitizer's
-// own injected `ret$clean = (Object) ret` rewrite, where the failing
-// cast IS the sanitization mechanism, not a program defect. A cast is
-// reported only if a real (program) object may fail it.
+// Check scans the reachable methods' casts. Under a taint run
+// (Target.Taint non-nil) a cast is reported only if a real program
+// object may fail it (see CastMayFail).
 func (MayFailCastChecker) Check(t *Target) []Diagnostic {
 	prog := t.Prog
 	var out []Diagnostic
@@ -83,7 +68,7 @@ func (MayFailCastChecker) Check(t *Target) []Diagnostic {
 			continue
 		}
 		for _, c := range m.Casts {
-			h, fail := castMayFailReal(t, c)
+			h, fail := CastMayFail(t.Res, t.Taint, c)
 			if !fail {
 				continue
 			}

@@ -78,7 +78,7 @@ func TestCastMayFailTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h, fail := checkers.CastMayFail(res, cast)
+			h, fail := checkers.CastMayFail(res, nil, cast)
 			if fail != tc.fail {
 				t.Fatalf("CastMayFail(%v -> %s) = %v, want %v", tc.flows, tc.target, fail, tc.fail)
 			}

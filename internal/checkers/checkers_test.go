@@ -5,10 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"introspect/internal/analysis"
 	"introspect/internal/checkers"
 	"introspect/internal/ir"
 	"introspect/internal/lang"
 	"introspect/internal/pta"
+	"introspect/internal/taint"
 )
 
 // The test subject exercises every checker: a conflated Holder pair
@@ -276,7 +278,7 @@ func TestPrecisionCountsAgree(t *testing.T) {
 	for _, spec := range []string{"insens", "2objH"} {
 		res := solve(t, prog, spec, false)
 		tgt := &checkers.Target{Prog: prog, Res: res}
-		c := checkers.PrecisionCounts(res)
+		c := checkers.PrecisionCounts(res, nil)
 		if n := len(checkers.MayFailCastChecker{}.Check(tgt)); n != c.MayFailCasts {
 			t.Errorf("%s: %d cast diagnostics vs MayFailCasts=%d", spec, n, c.MayFailCasts)
 		}
@@ -288,5 +290,21 @@ func TestPrecisionCountsAgree(t *testing.T) {
 		if got := len(checkers.PolyVirtualCalls(res)); got != c.PolyVCalls {
 			t.Errorf("%s: PolyVirtualCalls len %d vs PolyVCalls %d", spec, got, c.PolyVCalls)
 		}
+	}
+
+	// A taint run's document counts casts as its checker does: the
+	// sanitizer's injected (Object) cast, which taint$ objects fail by
+	// design, is in neither.
+	res, err := analysis.Run(context.Background(), analysis.Request{
+		Source: &analysis.Source{MJFile: "../../examples/ptalint/taintdemo.mj"},
+		Job:    analysis.Job{Spec: "2objH", Taint: taint.SpecFromLists("Net.fetch", "Net.publish", "Net.scrub")},
+		Limits: analysis.Limits{Budget: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := &checkers.Target{Prog: res.Prog, Res: res.Main, Taint: res.TaintInfo}
+	if n := len(checkers.MayFailCastChecker{}.Check(tgt)); n != res.Precision.MayFailCasts {
+		t.Errorf("taint run: %d cast diagnostics vs may_fail_casts=%d", n, res.Precision.MayFailCasts)
 	}
 }

@@ -3,6 +3,7 @@ package checkers
 import (
 	"introspect/internal/ir"
 	"introspect/internal/pta"
+	"introspect/internal/taint"
 )
 
 // Counts are the paper's three precision metrics, computed from the
@@ -21,8 +22,9 @@ type Counts struct {
 }
 
 // PrecisionCounts computes the three metrics over one result in a
-// single pass over the reachable methods.
-func PrecisionCounts(res *pta.Result) Counts {
+// single pass over the reachable methods. inj is the run's taint
+// injection, nil for a run without one (see CastMayFail).
+func PrecisionCounts(res *pta.Result, inj *taint.Injection) Counts {
 	prog := res.Prog
 	c := Counts{ReachableMethods: res.NumReachableMethods()}
 	for mi := range prog.Methods {
@@ -37,7 +39,7 @@ func PrecisionCounts(res *pta.Result) Counts {
 			}
 		}
 		for _, cast := range m.Casts {
-			if _, fail := CastMayFail(res, cast); fail {
+			if _, fail := CastMayFail(res, inj, cast); fail {
 				c.MayFailCasts++
 			}
 		}

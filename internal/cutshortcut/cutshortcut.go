@@ -16,10 +16,9 @@
 // receiver and argument variables instead of from cloned contexts, at
 // the propagation cost of an insensitive analysis.
 //
-// The package is deliberately *outside* internal/pta: it produces a
-// pta.Edits value through the public Strategy seam (pta.WithEdits),
-// which is exactly the extension point future families use. pta never
-// imports this package.
+// The package lives outside internal/pta: Detect produces a pta.Edits
+// value, and the analysis layer passes it to pta.Solve beside the "cs"
+// policy, which builds no contexts. pta never imports this package.
 //
 // # Patterns
 //
@@ -57,15 +56,6 @@ import (
 	"introspect/internal/ir"
 	"introspect/internal/pta"
 )
-
-// New builds the cut-shortcut strategy for prog: an insensitive
-// context policy carrying the edit set Detect found. Contexts are
-// created in tab (the cut-shortcut analysis only ever uses the empty
-// one).
-func New(prog *ir.Program, tab *pta.Table) pta.Strategy {
-	pol := pta.NewPolicy(pta.Spec{Flavor: pta.CutShortcut}, prog, tab)
-	return pta.WithEdits(pol, Detect(prog), "cs")
-}
 
 // Detect runs the pattern-detection pass over every method of prog and
 // returns the resulting edit set. Detection is a pure function of the

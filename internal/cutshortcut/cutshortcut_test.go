@@ -164,8 +164,7 @@ func TestPrecisionOverInsensitive(t *testing.T) {
 	main.VCall(y, c2, "get")
 	prog := b.MustFinish()
 
-	tab := pta.NewTable()
-	cs, err := pta.Solve(context.Background(), prog, cutshortcut.New(prog, tab), tab, pta.Options{Budget: -1})
+	cs, err := solveCS(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +238,7 @@ func TestCutShortcutRefinesInsensitive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab := pta.NewTable()
-		cs, err := pta.Solve(context.Background(), prog, cutshortcut.New(prog, tab), tab, pta.Options{Budget: -1})
+		cs, err := solveCS(prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,8 +259,7 @@ func TestSuiteRefinesInsensitive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab := pta.NewTable()
-		cs, err := pta.Solve(context.Background(), prog, cutshortcut.New(prog, tab), tab, pta.Options{Budget: -1})
+		cs, err := solveCS(prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,8 +277,7 @@ func TestSuiteRefinesInsensitive(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	prog := suite.MustLoad("antlr")
 	run := func() *pta.Result {
-		tab := pta.NewTable()
-		r, err := pta.Solve(context.Background(), prog, cutshortcut.New(prog, tab), tab, pta.Options{Budget: -1})
+		r, err := solveCS(prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,4 +292,12 @@ func TestDeterministic(t *testing.T) {
 			t.Fatalf("var %d points-to differs across runs", v)
 		}
 	}
+}
+
+// solveCS runs the cut-shortcut analysis over prog: the "cs" policy,
+// which builds no contexts, with the edit set Detect finds.
+func solveCS(prog *ir.Program) (*pta.Result, error) {
+	tab := pta.NewTable()
+	pol := pta.NewPolicy(pta.Spec{Flavor: pta.CutShortcut}, prog, tab)
+	return pta.Solve(context.Background(), prog, pol, cutshortcut.Detect(prog), tab, pta.Options{Budget: -1})
 }

@@ -42,9 +42,9 @@ func TaintVariants() []string { return CSVariants() }
 // client where imprecision has a price: every false positive is a
 // spurious security finding somebody triages.
 //
-// No pre-pass sharing here (Request.First is incompatible with taint
-// injection — the pre-pass must solve the instrumented program), so
-// the introspective variants each solve their own insensitive pass.
+// No pre-pass sharing here: each taint run's pre-pass solves its own
+// instrumented copy of the program, which no other run offers, so the
+// introspective variants each solve their own insensitive pass.
 // Each row is computed as its run ends, on the worker that ran it, so
 // a Result is released then rather than when the whole fleet is done.
 // That is safe because the checkers only read the Result (with its own

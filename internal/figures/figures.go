@@ -28,6 +28,7 @@ import (
 	"introspect/internal/analysis"
 	"introspect/internal/introspect"
 	"introspect/internal/obs"
+	"introspect/internal/pta"
 	"introspect/internal/report"
 	"introspect/internal/suite"
 )
@@ -121,16 +122,14 @@ func specJobs(specs ...string) []analysis.Job {
 // fleet runs every job on every subject and returns one row per pair,
 // subject-major, in job order, whatever order the runs are dispatched
 // in. When any job has a pre-pass, each subject is first solved
-// context-insensitively once: that solve is the subject's insens row
-// and every introspective job's Request.First, so a subject's pre-pass
-// is solved once however many variants use it. The rows are identical
-// either way, because the pre-pass is a pure function of the program.
-// Its introspection metrics are computed once with it and injected
-// too. A subject whose insensitive solve timed out injects nothing, and
-// its introspective runs then fail on their own capped pre-pass. Of
-// every other run the fleet keeps only its row, so what it holds at
-// once is the insensitive results, their metrics and the runs in
-// flight.
+// context-insensitively once: that solve is the subject's insens row,
+// and what it offers (analysis.Result.Offer, with the metrics computed
+// once there) is offered to every other run on the subject, so a
+// subject's pre-pass is solved once however many variants use it.
+// Whether a run takes the offer is the pipeline's decision, and the
+// rows are identical either way. Of every other run the fleet keeps
+// only its row, so what it holds at once is the insensitive passes,
+// their metrics and the runs in flight.
 func fleet(cfg Config, subjects []string, jobs []analysis.Job) ([]report.Row, error) {
 	insens := analysis.Job{Spec: "insens"}
 	rows := make([]report.Row, len(subjects)*len(jobs))
@@ -138,6 +137,7 @@ func fleet(cfg Config, subjects []string, jobs []analysis.Job) ([]report.Row, er
 		rows[k] = report.Row{Benchmark: subjects[k/len(jobs)], Precision: *res.Precision}
 	}
 	firsts := make([]*analysis.Result, len(subjects))
+	passes := make([]*pta.Result, len(subjects))
 	metrics := make([]*introspect.Metrics, len(subjects))
 	if slices.ContainsFunc(jobs, analysis.Job.NeedsPrePass) {
 		reqs := make([]analysis.Request, len(subjects))
@@ -146,9 +146,7 @@ func fleet(cfg Config, subjects []string, jobs []analysis.Job) ([]report.Row, er
 		}
 		if err := run(cfg, reqs, func(i int, res *analysis.Result) {
 			firsts[i] = res
-			if res.Main.Complete {
-				metrics[i] = introspect.Compute(res.Main)
-			}
+			passes[i], metrics[i] = res.Offer()
 		}); err != nil {
 			return nil, err
 		}
@@ -166,18 +164,16 @@ func fleet(cfg Config, subjects []string, jobs []analysis.Job) ([]report.Row, er
 	for _, pre := range []bool{false, true} {
 		for j := len(jobs) - 1; j >= 0; j-- {
 			for i, b := range subjects {
-				k, job, first := i*len(jobs)+j, jobs[j], firsts[i]
+				k, job := i*len(jobs)+j, jobs[j]
 				if job.NeedsPrePass() != pre {
 					continue
 				}
-				if first != nil && job == insens {
-					setRow(k, first)
+				if firsts[i] != nil && job == insens {
+					setRow(k, firsts[i])
 					continue
 				}
 				req := cfg.request(b, job)
-				if pre && first != nil && first.Main.Complete {
-					req.First, req.Metrics = first.Main, metrics[i]
-				}
+				req.First, req.Metrics = passes[i], metrics[i]
 				reqs, at = append(reqs, req), append(at, k)
 			}
 		}

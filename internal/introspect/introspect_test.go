@@ -254,7 +254,7 @@ func TestFullExclusionEqualsInsens(t *testing.T) {
 		pta.NewPolicy(deep, prog, tab),
 		pta.NewPolicy(pta.Spec{Flavor: pta.Insensitive}, prog, tab),
 		ref, "")
-	second, err := pta.Solve(context.Background(), prog, strat, tab, pta.Options{Budget: -1})
+	second, err := pta.Solve(context.Background(), prog, strat, nil, tab, pta.Options{Budget: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

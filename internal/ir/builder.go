@@ -40,6 +40,11 @@ func NewBuilder(name string) *Builder {
 // Extend returns a Builder over a copy of p; p itself is not changed.
 // Every id valid in p keeps its meaning in the program the Builder
 // finishes, and the Builder finds p's types and signatures by name.
+//
+// Only the types (whose hierarchy Finish recomputes) and the methods
+// (which Method and SetRet edit) are cloned. A Builder only appends to
+// the other six tables, so the copy shares p's arrays, clipped so that
+// its first append copies instead of writing past p's elements.
 func (p *Program) Extend() *Builder {
 	b := &Builder{
 		prog:    *p,
@@ -47,13 +52,13 @@ func (p *Program) Extend() *Builder {
 		typeIdx: make(map[string]TypeID, len(p.Types)),
 	}
 	b.prog.Types = slices.Clone(p.Types)
-	b.prog.Vars = slices.Clone(p.Vars)
-	b.prog.Heaps = slices.Clone(p.Heaps)
-	b.prog.Fields = slices.Clone(p.Fields)
 	b.prog.Methods = slices.Clone(p.Methods)
-	b.prog.Sigs = slices.Clone(p.Sigs)
-	b.prog.Invos = slices.Clone(p.Invos)
-	b.prog.Entries = slices.Clone(p.Entries)
+	b.prog.Vars = slices.Clip(p.Vars)
+	b.prog.Heaps = slices.Clip(p.Heaps)
+	b.prog.Fields = slices.Clip(p.Fields)
+	b.prog.Sigs = slices.Clip(p.Sigs)
+	b.prog.Invos = slices.Clip(p.Invos)
+	b.prog.Entries = slices.Clip(p.Entries)
 	for i, s := range p.Sigs {
 		b.sigIdx[s] = SigID(i)
 	}

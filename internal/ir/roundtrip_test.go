@@ -50,7 +50,7 @@ func roundTripEquivalent(t *testing.T, prog *ir.Program, spec string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, p2 := report.Measure(r1), report.Measure(r2)
+	p1, p2 := report.Measure(r1, nil), report.Measure(r2, nil)
 	if p1.PolyVCalls != p2.PolyVCalls || p1.ReachableMethods != p2.ReachableMethods ||
 		p1.MayFailCasts != p2.MayFailCasts || p1.VarPTSize != p2.VarPTSize ||
 		r1.NumCallGraphEdges() != r2.NumCallGraphEdges() {

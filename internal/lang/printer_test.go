@@ -81,7 +81,7 @@ func TestFormatPreservesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, p2 := report.Measure(r1), report.Measure(r2)
+	p1, p2 := report.Measure(r1, nil), report.Measure(r2, nil)
 	if p1.PolyVCalls != p2.PolyVCalls || p1.ReachableMethods != p2.ReachableMethods ||
 		p1.MayFailCasts != p2.MayFailCasts || p1.VarPTSize != p2.VarPTSize {
 		t.Errorf("analysis differs after format round trip:\n  %+v\n  %+v", p1, p2)

@@ -37,8 +37,8 @@ const (
 	// shortcut edges at each call site (Ma et al., "Context
 	// Sensitivity without Contexts: A Cut-Shortcut Approach", PLDI
 	// 2023). The context half is a plain insensitive policy; the edit
-	// set comes from the pattern detector in internal/cutshortcut,
-	// composed via WithEdits.
+	// set comes from the pattern detector in internal/cutshortcut and
+	// is passed to Solve beside it.
 	CutShortcut
 )
 
@@ -164,13 +164,10 @@ type basePolicy struct {
 }
 
 // NewPolicy builds the context policy implementing spec for prog,
-// creating contexts in tab. The result is a Strategy with no graph
-// edits (Edits() == nil); families that edit the constraint graph
-// compose their edit set on top with WithEdits. For CutShortcut the
-// context half is insensitive by construction — callers wanting the
-// full cut-shortcut analysis should use internal/cutshortcut, which
-// attaches the detected edit set.
-func NewPolicy(spec Spec, prog *ir.Program, tab *Table) Strategy {
+// creating contexts in tab. For CutShortcut the policy is insensitive
+// by construction and named "cs"; the full cut-shortcut analysis
+// passes the edit set internal/cutshortcut detects to Solve with it.
+func NewPolicy(spec Spec, prog *ir.Program, tab *Table) Policy {
 	p := &basePolicy{spec: spec, tab: tab}
 	if spec.Flavor == TypeSens {
 		p.heapClass = make([]int32, prog.NumHeaps())
@@ -256,9 +253,8 @@ type introspective struct {
 
 // NewIntrospective builds the introspective policy: program elements in
 // ref (the refinement-excluded sets) are analyzed with cheap; all other
-// elements with deep. Pass name for display (e.g. "2objH-IntroA"). The
-// result is a pure context strategy (Edits() == nil).
-func NewIntrospective(deep, cheap Policy, ref *Refinement, name string) Strategy {
+// elements with deep. Pass name for display (e.g. "2objH-IntroA").
+func NewIntrospective(deep, cheap Policy, ref *Refinement, name string) Policy {
 	if name == "" {
 		name = deep.Name() + "-intro"
 	}

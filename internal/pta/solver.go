@@ -173,11 +173,10 @@ type solver struct {
 	prog *ir.Program
 	pol  Policy
 	tab  *Table
-	// edits is the strategy's pre-solve constraint-graph edit set (nil
-	// for pure context policies). Consulted once per call-graph edge
-	// and per dispatch; nil costs one pointer check there and leaves
-	// work accounting untouched, which is what keeps the figure goldens
-	// bit-identical across the Policy → Strategy migration.
+	// edits is the pre-solve constraint-graph edit set (nil for a pure
+	// context analysis). Consulted once per call-graph edge and per
+	// dispatch; nil costs one pointer check there and leaves work
+	// accounting untouched.
 	edits *Edits
 
 	// Context-qualified heap objects, interned to dense ids ("hc ids").
@@ -262,8 +261,8 @@ type solver struct {
 	peakPT     int
 }
 
-// Solve runs the analysis over prog with the given strategy (a context
-// policy plus optional pre-solve constraint-graph edits), creating
+// Solve runs the analysis over prog under the context policy pol and
+// the pre-solve constraint-graph edits (nil for none), creating
 // contexts in tab. The worklist loop polls ctx every checkCtxEvery
 // iterations, so cancellation (or a context deadline) stops the run
 // promptly.
@@ -273,15 +272,15 @@ type solver struct {
 // error wraps ErrBudgetExceeded; if ctx is cancelled or its deadline
 // passes, the error wraps ctx.Err(). In both failure cases the Result
 // is a sound-in-progress under-approximation (Complete is false).
-func Solve(ctx context.Context, prog *ir.Program, strat Strategy, tab *Table, opts Options) (*Result, error) {
+func Solve(ctx context.Context, prog *ir.Program, pol Policy, edits *Edits, tab *Table, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	s := &solver{
 		prog:        prog,
-		pol:         strat,
+		pol:         pol,
 		tab:         tab,
-		edits:       strat.Edits(),
+		edits:       edits,
 		pts:         make([]bits.Set, 1),
 		deltas:      make([]bits.Set, 1),
 		edges:       make([]edge, 1),
@@ -304,7 +303,7 @@ func Solve(ctx context.Context, prog *ir.Program, strat Strategy, tab *Table, op
 	s.finalize()
 	res := &Result{
 		Prog:         prog,
-		Analysis:     strat.Name(),
+		Analysis:     pol.Name(),
 		Complete:     !s.exceeded && s.ctxErr == nil,
 		Work:         s.work,
 		Derivations:  s.derivations,
@@ -314,15 +313,15 @@ func Solve(ctx context.Context, prog *ir.Program, strat Strategy, tab *Table, op
 	}
 	switch {
 	case s.ctxErr != nil:
-		return res, fmt.Errorf("pta: %s interrupted: %w", strat.Name(), s.ctxErr)
+		return res, fmt.Errorf("pta: %s interrupted: %w", pol.Name(), s.ctxErr)
 	case s.exceeded:
-		return res, fmt.Errorf("pta: %s: %w after %d work units", strat.Name(), ErrBudgetExceeded, s.work)
+		return res, fmt.Errorf("pta: %s: %w after %d work units", pol.Name(), ErrBudgetExceeded, s.work)
 	}
 	return res, nil
 }
 
 // Analyze is a convenience wrapper: parse the analysis name, build the
-// strategy, and solve. Error semantics are those of Solve: on budget
+// policy, and solve. Error semantics are those of Solve: on budget
 // exhaustion or cancellation the partial Result is returned alongside
 // the error.
 //
@@ -330,18 +329,18 @@ func Solve(ctx context.Context, prog *ir.Program, strat Strategy, tab *Table, op
 // here: its edit set comes from the pattern detector in
 // internal/cutshortcut (which pta cannot import), so running it
 // through NewPolicy alone would silently degrade to an insensitive
-// analysis under a misleading name. Use internal/cutshortcut.New or
-// the analysis registry instead.
+// analysis under a misleading name. Pass cutshortcut.Detect's edit
+// set to Solve, or go through the analysis registry, instead.
 func Analyze(ctx context.Context, prog *ir.Program, analysis string, opts Options) (*Result, error) {
 	spec, err := ParseSpec(analysis)
 	if err != nil {
 		return nil, err
 	}
 	if spec.Flavor == CutShortcut {
-		return nil, fmt.Errorf("pta: %q needs the cut-shortcut edit set; build the strategy with internal/cutshortcut.New (or go through the analysis registry)", analysis)
+		return nil, fmt.Errorf("pta: %q needs the cut-shortcut edit set; pass cutshortcut.Detect's edits to Solve (or go through the analysis registry)", analysis)
 	}
 	tab := NewTable()
-	return Solve(ctx, prog, NewPolicy(spec, prog, tab), tab, opts)
+	return Solve(ctx, prog, NewPolicy(spec, prog, tab), nil, tab, opts)
 }
 
 // --- interning ---

@@ -66,9 +66,9 @@ func analyze(t *testing.T, prog *ir.Program, name string) *Result {
 
 // mustSolve runs the solver with a background context and fails the
 // test on any error.
-func mustSolve(t *testing.T, prog *ir.Program, pol Strategy, tab *Table, opts Options) *Result {
+func mustSolve(t *testing.T, prog *ir.Program, pol Policy, tab *Table, opts Options) *Result {
 	t.Helper()
-	res, err := Solve(context.Background(), prog, pol, tab, opts)
+	res, err := Solve(context.Background(), prog, pol, nil, tab, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"introspect/internal/checkers"
 	"introspect/internal/ir"
 	"introspect/internal/pta"
+	"introspect/internal/taint"
 )
 
 // Precision holds the paper's three precision metrics for one analysis
@@ -58,9 +59,11 @@ type Precision struct {
 // The three counters come from internal/checkers (PrecisionCounts), the
 // same primitives the ptalint diagnostics use, so figures and lint
 // findings can never disagree about what counts as a may-fail cast or
-// a polymorphic call.
-func Measure(res *pta.Result) Precision {
-	c := checkers.PrecisionCounts(res)
+// a polymorphic call. inj is the run's taint injection, nil for a run
+// without one; its synthetic objects fail no cast here, as in the
+// may-fail-cast checker.
+func Measure(res *pta.Result, inj *taint.Injection) Precision {
+	c := checkers.PrecisionCounts(res, inj)
 	return Precision{
 		Analysis:         res.Analysis,
 		TimedOut:         !res.Complete,

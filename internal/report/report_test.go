@@ -62,7 +62,7 @@ func analyzeBoth(t *testing.T) (*ir.Program, report.Precision, report.Precision)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog, report.Measure(ins), report.Measure(obj)
+	return prog, report.Measure(ins, nil), report.Measure(obj, nil)
 }
 
 func TestPrecisionMetrics(t *testing.T) {

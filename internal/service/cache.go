@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"sync"
 
+	"introspect/internal/analysis"
 	"introspect/internal/bits"
 	"introspect/internal/introspect"
 	"introspect/internal/ir"
@@ -20,8 +21,8 @@ import (
 // and the source text. Two requests with byte-identical source resolve
 // to the same key — and, through progCache, to the same *ir.Program
 // pointer, which is what lets one request's insensitive pass serve as
-// another's injected pre-pass (analysis.Request.First requires pointer
-// identity).
+// another's pre-pass (analysis.Request.First applies only to the
+// program it was solved over).
 func progKey(lang, name, source string) string {
 	h := sha256.New()
 	h.Write([]byte(lang))
@@ -77,9 +78,9 @@ func outcomeKey(progKey string, jobWithoutThresholds []byte, budget int64, prove
 }
 
 // progEntry is one cached parse: the shared program pointer (or the
-// deterministic parse error) plus, once any request has computed one,
-// a complete context-insensitive result and its introspection metrics,
-// reused as later introspective requests' pre-pass and metrics.
+// deterministic parse error) plus the insensitive pass, and its
+// introspection metrics, that the entry offers every later request
+// (analysis.Request.First).
 type progEntry struct {
 	key string // progKey of the entry's program, computed once
 	// readyCh closes when prog/err are populated; concurrent first
@@ -95,33 +96,28 @@ type progEntry struct {
 
 func (e *progEntry) ready() <-chan struct{} { return e.readyCh }
 
-// sharedFirst returns the entry's reusable insensitive pass and its
-// metrics, nil if none has completed yet.
-func (e *progEntry) sharedFirst() (*pta.Result, *introspect.Metrics) {
+// offer returns the entry's insensitive pass and its metrics, nil
+// until a run has offered one.
+func (e *progEntry) offer() (*pta.Result, *introspect.Metrics) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.first, e.metrics
 }
 
-// offerFirst records a complete insensitive result of the entry's own
-// program for reuse, with its metrics m, computing them if m is nil
-// (an insens run's main pass comes without). First writer wins; the
-// pre-pass is a pure function of the program, so any complete
-// candidate is as good as any other. A taint job's pre-pass solves an
-// instrumented copy, which no other job could take.
-func (e *progEntry) offerFirst(r *pta.Result, m *introspect.Metrics) {
-	if r == nil || !r.Complete || r.Prog != e.prog {
+// keep records the pass res offers (analysis.Result.Offer), unless the
+// entry has one already. First writer wins: the pass is a pure
+// function of the program, so any one is as good as another.
+func (e *progEntry) keep(res *analysis.Result) {
+	if first, _ := e.offer(); first != nil {
 		return
 	}
-	if first, _ := e.sharedFirst(); first != nil {
+	first, m := res.Offer()
+	if first == nil {
 		return
-	}
-	if m == nil {
-		m = introspect.Compute(r)
 	}
 	e.mu.Lock()
 	if e.first == nil {
-		e.first, e.metrics = r, m
+		e.first, e.metrics = first, m
 	}
 	e.mu.Unlock()
 }
@@ -131,8 +127,8 @@ func (e *progEntry) offerFirst(r *pta.Result, m *introspect.Metrics) {
 // deduplicated: the first solve for a program parses it once, and
 // every later request (and every concurrent one) shares the
 // pointer. Entries are never evicted — programs are small compared to
-// solver state, and pointer identity must be stable for pre-pass
-// injection; a daemon fronting unbounded distinct programs should
+// solver state, and pointer identity must be stable for the offered
+// pass; a daemon fronting unbounded distinct programs should
 // recycle, which Close handles by dropping the whole service.
 type progCache struct{ entries sync.Map }
 

@@ -20,17 +20,17 @@
 // a request finds a known program by its exact source, so no hash
 // collision can alias two programs in memory.
 //
-// Parsed programs are cached separately and shared by pointer, which
-// additionally lets one request's context-insensitive result serve as
-// later introspective requests' injected pre-pass
-// (analysis.Request.First): after an "insens" request for a program, a
-// "2objH-IntroA" request for the same source skips its pre-pass solve
-// entirely. This is sound because the pre-pass is a pure function of
-// the program — see DESIGN.md for the argument. Likewise an
-// introspective request whose thresholds select the refinement of an
-// earlier solve reuses that solve's main pass: the thresholds reach
-// the main pass only through the refinement, so outcomes are kept by
-// it (analysis.Request.MainPass).
+// Parsed programs are cached separately and shared by pointer. Each
+// program's entry keeps the first context-insensitive pass a solve
+// offers (analysis.Result.Offer) and offers it to every later solve
+// for that program (analysis.Request.First): after an "insens" request,
+// a "2objH-IntroA" request for the same source skips its pre-pass
+// solve. internal/analysis alone decides whether a solve takes the
+// offer, and why that is sound. Likewise the service keeps
+// introspective main-pass outcomes by the refinement they ran under,
+// in a second LRU, and offers them to every solve
+// (analysis.Request.MainPass): a request whose thresholds select the
+// refinement of an earlier solve reuses that solve's main pass.
 //
 // # Admission
 //
@@ -451,8 +451,13 @@ func (s *Service) solve(ctx context.Context, fl *flight, req Request, pk, key st
 		observer = analysis.Observers(observer, extra)
 	}
 
+	// The program's insensitive pass, which the pipeline takes only
+	// where it applies.
+	first, metrics := entry.offer()
 	areq := analysis.Request{
 		Prog:          entry.prog,
+		First:         first,
+		Metrics:       metrics,
 		Job:           req.Job,
 		Limits:        analysis.Limits{Budget: req.Budget},
 		Provenance:    req.Provenance,
@@ -464,49 +469,30 @@ func (s *Service) solve(ctx context.Context, fl *flight, req Request, pk, key st
 		// responses that did not ask.
 		Audit: true,
 	}
-	// Pre-pass sharing: inject the program's cached insensitive result
-	// if this pipeline would otherwise solve one. NeedsPrePass is what
-	// the pipeline itself checks, so injection is exactly as valid as a
-	// fresh pre-pass solve. So is the budget check: the solver stops
-	// only once its work exceeds the budget, so a fresh pre-pass would
-	// complete exactly when the shared result's Work fits the request's
-	// budget (never 0 here; negative is unlimited), and a request it
-	// does not fit solves and caps its own pre-pass, as on a cold
-	// service. Requests that record provenance skip the shared result
-	// unless it, too, has provenance — witnesses must stay
-	// reconstructible. Taint jobs never share: their pre-pass solves
-	// the taint-instrumented program, not the program the cached
-	// insensitive result was solved over.
-	introspective := req.Job.NeedsPrePass()
-	if first, metrics := entry.sharedFirst(); first != nil && req.Job.Taint == nil && introspective &&
-		(req.Budget < 0 || first.Work <= req.Budget) &&
-		(!req.Provenance || first.ProvenanceEnabled()) {
-		areq.First, areq.Metrics = first, metrics
-		s.metrics.add(&s.metrics.doc.PrePassShared)
-	}
 	// Main-pass sharing: the thresholds reach the main pass only through
 	// the refinement they select, so an outcome recorded under the same
 	// refinement, and otherwise the same key, stands in for the solve.
-	if introspective {
-		job := req.Job
-		job.Thresholds = nil
-		canon, err := job.Canonical()
-		if err != nil {
-			return nil, errf(CodeBadRequest, "encoding job: %v", err)
+	job := req.Job
+	job.Thresholds = nil
+	mainCanon, err := job.Canonical()
+	if err != nil {
+		return nil, errf(CodeBadRequest, "encoding job: %v", err)
+	}
+	areq.MainPass = func(ref *pta.Refinement) *analysis.MainOutcome {
+		okey = outcomeKey(pk, mainCanon, req.Budget, req.Provenance, ref)
+		out, ok := s.outcomes.get(okey)
+		if ok {
+			reused = true
+			s.metrics.add(&s.metrics.doc.MainPassShared)
 		}
-		areq.MainPass = func(ref *pta.Refinement) *analysis.MainOutcome {
-			okey = outcomeKey(pk, canon, req.Budget, req.Provenance, ref)
-			out, ok := s.outcomes.get(okey)
-			if ok {
-				reused = true
-				s.metrics.add(&s.metrics.doc.MainPassShared)
-			}
-			return out
-		}
+		return out
 	}
 
 	res, runErr := analysis.Run(ctx, areq)
 	s.metrics.add(&s.metrics.doc.Solves)
+	if first != nil && res != nil && res.First == first {
+		s.metrics.add(&s.metrics.doc.PrePassShared)
+	}
 
 	if runErr != nil {
 		var be *analysis.BudgetExceededError
@@ -529,14 +515,7 @@ func (s *Service) solve(ctx context.Context, fl *flight, req Request, pk, key st
 		}
 	}
 
-	// Share this solve's insensitive pass with future requests for the
-	// same program: an introspective run's pre-pass, or an "insens"
-	// run's main pass — both are the same pure function of the program.
-	if res.First != nil {
-		entry.offerFirst(res.First, res.Metrics)
-	} else if res.Main != nil && res.Main.Complete && res.Main.Analysis == "insens" {
-		entry.offerFirst(res.Main, nil)
-	}
+	entry.keep(res)
 	// Record the main pass, complete or capped, for later jobs that
 	// select alike. A deadline or cancellation returned above.
 	if okey != "" && !reused {

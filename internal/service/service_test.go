@@ -184,6 +184,31 @@ func TestPrePassSharing(t *testing.T) {
 	}
 }
 
+// TestUntakenOfferNotCounted: the program's insensitive pass is
+// offered to every solve, and pre_pass_shared counts only the solves
+// that take it. One that records provenance, or a taint job, solves its
+// own pre-pass and leaves the counter as it was.
+func TestUntakenOfferNotCounted(t *testing.T) {
+	kern, _ := taint.Kernel()
+	src := irText(t, kern)
+	svc := service.MustNew(service.Config{Workers: 1})
+	analyzeOne(t, svc, service.Request{Lang: "ir", Source: src, Budget: -1, Job: analysis.Job{Spec: "insens"}})
+	intro := service.Request{Lang: "ir", Source: src, Budget: -1, Job: analysis.Job{Spec: "2objH-IntroA"}}
+	prov, tainted := intro, intro
+	prov.Provenance = true
+	tainted.Job.Taint = taint.KernelSpec()
+	for _, c := range []struct {
+		name   string
+		req    service.Request
+		shared uint64
+	}{{"provenance", prov, 0}, {"taint", tainted, 0}, {"plain", intro, 1}} {
+		analyzeOne(t, svc, c.req)
+		if m := svc.Metrics(); m.PrePassShared != c.shared {
+			t.Errorf("%s: pre_pass_shared = %d, want %d", c.name, m.PrePassShared, c.shared)
+		}
+	}
+}
+
 // TestBudgetExhaustedIsCacheable pins that a deterministic
 // out-of-budget outcome is cached like a success, whichever pass runs
 // out: the response has complete=false, a repeat is a hit from the one

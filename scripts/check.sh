@@ -29,7 +29,7 @@ go test ./...
 # scripts/bench.sh holds the tracing wall-time gate but runs only by
 # hand (make bench), so check at least that it parses.
 sh -n scripts/bench.sh
-go test -race ./internal/analysis ./internal/pta ./internal/cutshortcut ./internal/checkers ./internal/service ./internal/obs
+go test -race ./internal/analysis ./internal/pta ./internal/cutshortcut ./internal/checkers ./internal/service ./internal/obs ./internal/ir ./internal/taint
 # One capped jython 2objH solve at the figure budget: the only solver
 # benchmark that reaches the node explosion of the TIMEOUT rows. Run
 # once so it keeps compiling and its retained-MiB stays visible in CI.
